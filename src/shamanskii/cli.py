@@ -83,13 +83,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _solver_config(args, m: int) -> SolverConfig:
-    return SolverConfig(
-        m=m,
-        tol=args.tol,
-        max_outer=args.max_outer,
-        inner_early_exit=args.inner_early_exit,
-    )
+def _problem(name: str):
+    try:
+        return registry_get(name)
+    except LookupError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _problem_names(text: str) -> list[str]:
+    names = [s for s in text.split(",") if s]
+    if not names:
+        raise argparse.ArgumentTypeError("expects at least one problem name")
+    for name in names:
+        _problem(name)
+    return names
+
+
+def _ms(text: str) -> list[int]:
+    try:
+        ms = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
+    if not ms:
+        raise argparse.ArgumentTypeError("expects at least one m value")
+    if any(m < 1 for m in ms):
+        raise argparse.ArgumentTypeError("all m values must be >= 1")
+    return ms
 
 
 def _add_solver_flags(parser):
@@ -102,23 +122,13 @@ def _add_solver_flags(parser):
 
 
 def cmd_run(args) -> int:
-    try:
-        problem = registry_get(args.problem)
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _solver_config(args, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    trace = solve(problem, cfg)
+    trace = solve(args.problem, args.config)
     if args.verbose:
         for k, res in enumerate(trace.residual_norms):
             print(f"outer {k}: residual={res:.6e}")
     rho = estimate_coc(trace).rho
     print(
-        f"problem={problem.name} m={cfg.m} status={trace.status.value} "
+        f"problem={args.problem.name} m={args.config.m} status={trace.status.value} "
         f"it_inv={trace.it_inv} it_tot={trace.it_tot} "
         f"final_residual={trace.final_residual:.6e} rho={_fmt_rho(rho)}"
     )
@@ -126,27 +136,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    names = [s for s in args.problems.split(",") if s]
-    for name in names:
-        try:
-            registry_get(name)
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        ms = [int(s) for s in args.ms.split(",") if s]
-    except ValueError:
-        print(f"error: --ms expects comma-separated integers, got {args.ms!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if any(m < 1 for m in ms):
-        print("error: all m values must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = _solver_config(args, 1)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_suite(names, ms, cfg)
+    report = run_suite(args.problems, args.ms, args.config)
     sys.stdout.write(_RENDERERS[args.format](report))
     return EXIT_OK if report.all_converged else EXIT_FAILURE
 
@@ -192,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="solve one problem")
-    run.add_argument("--problem", required=True, help="problem name (see list-problems)")
+    run.add_argument("--problem", type=_problem, required=True,
+                     help="problem name (see list-problems)")
     run.add_argument("--m", type=int, default=1,
                      help="inner updates per factorization (default: 1)")
     _add_solver_flags(run)
@@ -201,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     suite = sub.add_parser("suite", help="run the benchmark grid")
-    suite.add_argument("--problems", default=_DEFAULT_PROBLEMS,
+    suite.add_argument("--problems", type=_problem_names, default=_DEFAULT_PROBLEMS,
                        help=f"comma-separated problem names (default: {_DEFAULT_PROBLEMS})")
-    suite.add_argument("--ms", default=_DEFAULT_MS,
+    suite.add_argument("--ms", type=_ms, default=_DEFAULT_MS,
                        help=f"comma-separated m values (default: {_DEFAULT_MS})")
     _add_solver_flags(suite)
     suite.add_argument("--format", choices=sorted(_RENDERERS), default="table",
@@ -223,6 +214,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "tol" in args:
+            try:
+                # run and suite carry the solver flags; suite sets m per grid cell
+                args.config = SolverConfig(m=getattr(args, "m", 1), tol=args.tol,
+                                           max_outer=args.max_outer,
+                                           inner_early_exit=args.inner_early_exit)
+            except ValueError as exc:
+                parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

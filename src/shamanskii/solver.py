@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +54,11 @@ class NonFiniteIterate(ArithmeticError):
     """An update or residual evaluation produced NaN or Inf."""
 
 
+def _is_positive_int(value) -> bool:
+    # bool is an Integral too, but SolverConfig(m=True) is a caller's mistake
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters.
@@ -74,13 +80,13 @@ class SolverConfig:
     record_inner: bool = False
 
     def __post_init__(self):
-        if self.m < 1:
+        if not _is_positive_int(self.m):
             raise ValueError("m must be a positive integer")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_outer < 1:
+        if not _is_positive_int(self.max_outer):
             raise ValueError("max_outer must be a positive integer")
-        if self.max_total is not None and self.max_total < 1:
+        if self.max_total is not None and not _is_positive_int(self.max_total):
             raise ValueError("max_total must be a positive integer when given")
 
     @property
@@ -119,44 +125,40 @@ class SolveTrace:
         return self.status is SolveStatus.CONVERGED
 
 
-class _SweepAbort(Exception):
-    """Internal: a chord sweep stopped on a failure after ``steps`` updates.
+def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
+    """Factor J(x), then run up to ``cfg.m`` updates ``x <- x - solve(J, F(x))``.
 
-    ``x``/``rhs`` hold the last state whose residual evaluation returned, so
-    the caller can close the trace consistently.
+    ``rhs`` must equal F(x) on entry.  Returns ``(x, rhs, steps, status,
+    cause)`` and never raises on a numerical failure.  ``steps`` is None when
+    the factorization failed, else the number of updates made; ``x``/``rhs``
+    hold the last state whose residual evaluation returned.  ``status`` is
+    None unless the step failed; ``cause`` is the exception behind it, if any,
+    stripped of its traceback so that no frame outlives the call.
     """
-
-    def __init__(self, status, x, rhs, steps, cause=None):
-        super().__init__(status.value)
-        self.status = status
-        self.x = x
-        self.rhs = rhs
-        self.steps = steps
-        self.cause = cause
-
-
-def _chord_sweep(problem, factors, x, rhs, m, tol, early_exit, inner_record=None):
-    """Run up to ``m`` updates ``x <- x - solve(factors, F(x))``.
-
-    ``rhs`` must equal F(x) on entry.  Returns ``(x, rhs, steps)``; raises
-    :class:`_SweepAbort` when an update leaves the domain or goes non-finite.
-    """
+    try:
+        factors = lu_factor(evaluate_jacobian(problem, x))
+    except SingularMatrix as exc:
+        return x, rhs, None, SolveStatus.SINGULAR_JACOBIAN, exc.with_traceback(None)
+    except DomainViolation as exc:
+        return x, rhs, None, SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
+    except NonFiniteInput as exc:
+        return x, rhs, None, SolveStatus.NON_FINITE_ITERATE, exc.with_traceback(None)
     steps = 0
-    for _ in range(m):
+    for _ in range(cfg.m):
         x_next = x - lu_solve(factors, rhs)
         try:
             rhs_next = evaluate_f(problem, x_next)
         except DomainViolation as exc:
-            raise _SweepAbort(SolveStatus.DOMAIN_VIOLATION, x, rhs, steps, exc) from None
+            return x, rhs, steps, SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
         steps += 1
         x, rhs = x_next, rhs_next
         if inner_record is not None:
             inner_record.append(x)
         if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
-            raise _SweepAbort(SolveStatus.NON_FINITE_ITERATE, x, rhs, steps)
-        if early_exit and norm2(rhs) <= tol:
+            return x, rhs, steps, SolveStatus.NON_FINITE_ITERATE, None
+        if cfg.inner_early_exit and norm2(rhs) <= cfg.tol:
             break
-    return x, rhs, steps
+    return x, rhs, steps, None, None
 
 
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
@@ -186,32 +188,14 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
         return SolveTrace(outer, norms, 0, 0, SolveStatus.NON_FINITE_ITERATE, inner)
 
     status = None
-    while res > cfg.tol:
+    while status is None and res > cfg.tol:
         if it_inv >= cfg.max_outer or it_tot + cfg.m > cfg.total_cap:
             status = SolveStatus.MAX_ITERATIONS
             break
-        try:
-            factors = lu_factor(evaluate_jacobian(problem, x))
-        except SingularMatrix:
-            status = SolveStatus.SINGULAR_JACOBIAN
-            break
-        except DomainViolation:
-            status = SolveStatus.DOMAIN_VIOLATION
-            break
-        except NonFiniteInput:
-            status = SolveStatus.NON_FINITE_ITERATE
+        x, rhs, steps, status, _ = _outer_step(problem, x, rhs, cfg, inner)
+        if steps is None:
             break
         it_inv += 1
-        try:
-            x, rhs, steps = _chord_sweep(
-                problem, factors, x, rhs, cfg.m, cfg.tol, cfg.inner_early_exit, inner
-            )
-        except _SweepAbort as abort:
-            it_tot += abort.steps
-            outer.append(abort.x)
-            norms.append(norm2(abort.rhs))
-            status = abort.status
-            break
         it_tot += steps
         res = norm2(rhs)
         outer.append(x)
@@ -228,19 +212,13 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     in isolation; failures surface as exceptions here instead of trace
     statuses.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    cfg = SolverConfig(m=m)
     v = as_vector(x)
-    rhs = evaluate_f(problem, v)
-    factors = lu_factor(evaluate_jacobian(problem, v))
-    try:
-        x_new, rhs_new, steps = _chord_sweep(problem, factors, v, rhs, m, 0.0, False)
-    except _SweepAbort as abort:
-        if abort.cause is not None:
-            raise abort.cause
-        raise NonFiniteIterate(
-            f"non-finite iterate after {abort.steps} chord update(s)"
-        ) from None
+    x_new, rhs_new, steps, status, cause = _outer_step(problem, v, evaluate_f(problem, v), cfg)
+    if cause is not None:
+        raise cause
+    if status is not None:
+        raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     return x_new, norm2(rhs_new), steps
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from shamanskii.cli import main
 from shamanskii.problems import registry_get
 
 CELL_RE = re.compile(r"^(\d+) \((\d+)\) (\S+)$")
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +96,12 @@ class TestSuite:
         row_a = next(ln for ln in out.splitlines() if ln.startswith("a "))
         assert "2 (8) NA" in row_a
 
+    def test_default_table_matches_readme(self, capsys):
+        readme_grid = re.search(r"```\n(problem  m=1.*?\n)```", README.read_text(), re.S)[1]
+        code, out, _ = run_cli(capsys, "suite")
+        assert code == 0
+        assert out == readme_grid
+
     def test_singleton_grid(self, capsys):
         _, out, _ = run_cli(capsys, "suite", "--problems", "b", "--ms", "1")
         cells = parse_table(out)
@@ -143,11 +152,18 @@ class TestSuite:
         assert code == 1
         assert "unknown problem" in err
 
-    @pytest.mark.parametrize("ms", ["0", "x", "1,0"])
+    @pytest.mark.parametrize("ms", ["0", "x", "1,0", ",,"])
     def test_invalid_ms(self, capsys, ms):
         code, _, err = run_cli(capsys, "suite", "--ms", ms)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("problems", [",", ""])
+    def test_empty_problem_list(self, capsys, problems):
+        code, out, err = run_cli(capsys, "suite", "--problems", problems)
+        assert code == 1
+        assert "error" in err
+        assert out == ""
 
     def test_invalid_format(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--format", "xml")

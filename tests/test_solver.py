@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import shamanskii.solver as solver_mod
+from shamanskii.linalg import NonFiniteInput, SingularMatrix
 from shamanskii.problems import DomainViolation, Problem, registry_get, registry_names
 from shamanskii.solver import (
     TOL_DEFAULT,
+    NonFiniteIterate,
     SolverConfig,
     SolveStatus,
     newton_solve,
@@ -35,6 +38,25 @@ def affine_problem(start=0.0):
 def multiple_root_problem(start=1.0):
     # F(x) = x^2: linear convergence toward 0, handy for exercising the caps
     return one_dim_problem("square", lambda v: v * v, lambda v: 2.0 * v, start)
+
+
+def fault_at_call(fn, k, fault):
+    """``fn`` whose k-th call (counting from 0) returns ``fault(x)`` instead."""
+    calls = itertools.count()
+    return lambda x: fault(x) if next(calls) == k else fn(x)
+
+
+def leave_domain(x):
+    raise DomainViolation("faulty", 0, "is outside the injected domain")
+
+
+# Jacobian faults and the status solve must end with.  Each is injected into
+# the J(x) evaluation of one outer step, so the factorization never happens.
+JACOBIAN_FAULTS = {
+    "domain": (leave_domain, SolveStatus.DOMAIN_VIOLATION, DomainViolation),
+    "nan": (lambda x: np.array([[np.nan]]), SolveStatus.NON_FINITE_ITERATE, NonFiniteInput),
+    "singular": (lambda x: np.array([[0.0]]), SolveStatus.SINGULAR_JACOBIAN, SingularMatrix),
+}
 
 
 class TestSolve:
@@ -180,6 +202,54 @@ class TestFailureStatuses:
         assert trace.it_tot == 2 * trace.it_inv
 
 
+class TestFaultInjection:
+    # F(x) = x^2 from 1 converges only linearly, so no run ends before the fault.
+
+    @pytest.mark.parametrize("fault", sorted(JACOBIAN_FAULTS))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_jacobian_fault_at_outer_step_k(self, fault, k, m):
+        p = multiple_root_problem()
+        inject, status, _ = JACOBIAN_FAULTS[fault]
+        faulty = dataclasses.replace(p, jacobian=fault_at_call(p.jacobian, k, inject))
+        trace = solve(faulty, SolverConfig(m=m))
+        assert trace.status is status
+        assert trace.it_inv == k
+        assert trace.it_tot == k * m
+        assert len(trace.outer_iterates) == len(trace.residual_norms) == k + 1
+        assert np.isfinite(trace.final_residual)
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (4, 1), (1, 3), (3, 3), (5, 3)])
+    def test_residual_nan_at_call_k(self, k, m):
+        # call 0 is the start point; calls (s-1)*m+1 .. s*m belong to sweep s
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(
+            p, residual=fault_at_call(p.residual, k, lambda x: np.array([np.nan]))
+        )
+        trace = solve(faulty, SolverConfig(m=m))
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert trace.it_inv == (k - 1) // m + 1
+        assert trace.it_tot == k
+        assert len(trace.outer_iterates) == len(trace.residual_norms) == trace.it_inv + 1
+        assert np.isnan(trace.final_residual)
+
+    @pytest.mark.parametrize("fault", sorted(JACOBIAN_FAULTS))
+    def test_outer_step_raises_jacobian_fault(self, fault):
+        p = multiple_root_problem()
+        inject, _, error = JACOBIAN_FAULTS[fault]
+        faulty = dataclasses.replace(p, jacobian=inject)
+        with pytest.raises(error):
+            outer_step(faulty, p.start, m=2)
+
+    def test_outer_step_raises_non_finite_iterate(self):
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(
+            p, residual=fault_at_call(p.residual, 2, lambda x: np.array([np.nan]))
+        )
+        with pytest.raises(NonFiniteIterate):
+            outer_step(faulty, p.start, m=3)
+
+
 class TestOuterStep:
     def test_hand_derived_newton_step(self):
         # J = [[2, 2], [2, -2]], F = [1, 0.5]  =>  step = [0.375, 0.125]
@@ -261,6 +331,12 @@ class TestSolverConfig:
             {"tol": -1e-3},
             {"max_outer": 0},
             {"max_total": 0},
+            {"m": 2.5},
+            {"m": True},
+            {"max_outer": 2.5},
+            {"max_outer": True},
+            {"max_total": 2.5},
+            {"max_total": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
