@@ -151,13 +151,13 @@ def _residual_d(x):
 
 
 def _jacobian_d(x):
+    # dF_i/dx_i = x_{i+1} and dF_i/dx_{i+1} = x_i, indices wrapping around
     n = x.shape[0]
+    rows = np.arange(n)
+    cols = (rows + 1) % n
     jac = np.zeros((n, n))
-    for i in range(n - 1):
-        jac[i, i] = x[i + 1]
-        jac[i, i + 1] = x[i]
-    jac[n - 1, n - 1] = x[0]
-    jac[n - 1, 0] = x[n - 1]
+    jac[rows, rows] = x[cols]
+    jac[rows, cols] = x
     return jac
 
 

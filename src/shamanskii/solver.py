@@ -101,7 +101,9 @@ class SolveTrace:
     ``outer_iterates`` holds x(0)..x(it_inv), one entry per completed outer
     step plus the start point; ``residual_norms`` aligns with it.  ``it_inv``
     counts Jacobian factorizations, ``it_tot`` chord updates.  Failures land
-    in ``status`` with the partial history preserved.
+    in ``status`` with the partial history preserved; ``cause`` holds the
+    exception behind a singular Jacobian, a domain exit or a non-finite
+    Jacobian, without its traceback.
     """
 
     outer_iterates: list[np.ndarray]
@@ -110,6 +112,7 @@ class SolveTrace:
     it_tot: int
     status: SolveStatus
     inner_iterates: list[np.ndarray] | None = field(default=None, repr=False)
+    cause: Exception | None = field(default=None, repr=False)
 
     @property
     def x(self) -> np.ndarray:
@@ -180,19 +183,22 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
 
     try:
         rhs = evaluate_f(problem, x)
-    except DomainViolation:
-        return SolveTrace(outer, [float("nan")], 0, 0, SolveStatus.DOMAIN_VIOLATION, inner)
+    except DomainViolation as exc:
+        return SolveTrace(
+            outer, [float("nan")], 0, 0, SolveStatus.DOMAIN_VIOLATION, inner,
+            exc.with_traceback(None),
+        )
     res = norm2(rhs)
     norms = [res]
     if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
         return SolveTrace(outer, norms, 0, 0, SolveStatus.NON_FINITE_ITERATE, inner)
 
-    status = None
+    status = cause = None
     while status is None and res > cfg.tol:
         if it_inv >= cfg.max_outer or it_tot + cfg.m > cfg.total_cap:
             status = SolveStatus.MAX_ITERATIONS
             break
-        x, rhs, steps, status, _ = _outer_step(problem, x, rhs, cfg, inner)
+        x, rhs, steps, status, cause = _outer_step(problem, x, rhs, cfg, inner)
         if steps is None:
             break
         it_inv += 1
@@ -201,7 +207,9 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
         outer.append(x)
         norms.append(res)
 
-    return SolveTrace(outer, norms, it_inv, it_tot, status or SolveStatus.CONVERGED, inner)
+    return SolveTrace(
+        outer, norms, it_inv, it_tot, status or SolveStatus.CONVERGED, inner, cause
+    )
 
 
 def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:

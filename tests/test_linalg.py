@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from shamanskii.linalg import (
+    LAPACK_MIN_N,
     DimensionMismatch,
     NonFiniteInput,
     SingularMatrix,
@@ -9,6 +13,8 @@ from shamanskii.linalg import (
     lu_solve,
     norm2,
 )
+
+LAPACK_SIZES = (LAPACK_MIN_N, 64, 101, 301)
 
 
 def inf_norm(a):
@@ -133,6 +139,101 @@ class TestLuSolve:
         factors = lu_factor(np.eye(3))
         with pytest.raises(DimensionMismatch):
             lu_solve(factors, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", LAPACK_SIZES)
+class TestLapackPath:
+    """Sizes routed to LAPACK keep every contract of the elimination loop."""
+
+    def test_reconstruction_and_solve(self, n):
+        # the criterion-5 bounds
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        factors = lu_factor(a)
+        err = inf_norm(a[factors.perm] - factors.lower @ factors.upper)
+        assert err / inf_norm(a) <= 1e-13
+        x = lu_solve(factors, b)
+        assert np.abs(a @ x - b).max() / (inf_norm(a) * np.abs(x).max()) <= 1e-12
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10)
+
+    def test_factor_structure(self, n):
+        factors = lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)))
+        assert factors.n == n
+        assert np.abs(factors.lower).max() <= 1.0
+        assert np.array_equal(factors.lower.diagonal(), np.ones(n))
+        assert np.array_equal(factors.upper, np.triu(factors.upper))
+        assert sorted(factors.perm) == list(range(n))
+        for arr in (factors.lu, factors.piv):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_unmodified(self, n, order):
+        rng = np.random.default_rng(n)
+        a = np.asarray(rng.uniform(-1.0, 1.0, (n, n)), order=order)
+        b = rng.uniform(-1.0, 1.0, n)
+        a_before, b_before = a.copy(), b.copy()
+        factors = lu_factor(a)
+        piv_before = factors.piv.copy()
+        lu_solve(factors, b)
+        assert np.array_equal(a, a_before)
+        assert np.array_equal(b, b_before)
+        assert np.array_equal(factors.piv, piv_before)
+
+    @pytest.mark.parametrize(
+        "name,column",
+        [("zero", 0), ("ones", 1), ("zero_column", None), ("duplicate_row", None)],
+    )
+    def test_singular_raises(self, n, name, column):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        if name == "zero":
+            a[:] = 0.0
+        elif name == "ones":
+            a[:] = 1.0
+        elif name == "zero_column":
+            column = n // 2
+            a[:, column] = 0.0
+        else:
+            a[-1] = a[0]
+        message = r"^pivot \S+ below threshold \S+ at column \d+$"
+        with pytest.raises(SingularMatrix, match=message) as info:
+            lu_factor(a)
+        if column is not None:
+            assert str(info.value).endswith(f"at column {column}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, n, bad):
+        a = np.eye(n)
+        a[n // 2, n - 1] = bad
+        with pytest.raises(NonFiniteInput):
+            lu_factor(a)
+
+    def test_threads_share_factors(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        factors = lu_factor(a)
+        expected = lu_solve(factors, b)
+        mismatches = []
+
+        def work():
+            for _ in range(500):
+                if not np.array_equal(lu_solve(factors, b), expected):
+                    mismatches.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
 
 class TestNorm2:

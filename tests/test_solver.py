@@ -1,9 +1,15 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shamanskii
 import shamanskii.solver as solver_mod
 from shamanskii.linalg import NonFiniteInput, SingularMatrix
 from shamanskii.problems import DomainViolation, Problem, registry_get, registry_names
@@ -44,6 +50,11 @@ def fault_at_call(fn, k, fault):
     """``fn`` whose k-th call (counting from 0) returns ``fault(x)`` instead."""
     calls = itertools.count()
     return lambda x: fault(x) if next(calls) == k else fn(x)
+
+
+def cyclic_problem(n):
+    """Problem d's cyclic system x_i * x_{i+1} - 1 at size ``n``, from x = -2."""
+    return dataclasses.replace(registry_get("d"), dim=n, start=np.full(n, -2.0))
 
 
 def leave_domain(x):
@@ -200,6 +211,75 @@ class TestFailureStatuses:
         assert trace.status is SolveStatus.MAX_ITERATIONS
         assert trace.it_tot == expected_tot
         assert trace.it_tot == 2 * trace.it_inv
+
+
+class TestFailureCause:
+    def test_none_when_converged(self):
+        assert solve(registry_get("b")).cause is None
+
+    def test_domain_violation_at_start(self):
+        bad_start = dataclasses.replace(registry_get("c"), start=np.array([1.0, 0.0, 2.0]))
+        trace = solve(bad_start)
+        assert isinstance(trace.cause, DomainViolation)
+        assert trace.cause.index == 1
+        assert trace.cause.__traceback__ is None
+
+    @pytest.mark.parametrize("fault", sorted(JACOBIAN_FAULTS))
+    def test_jacobian_fault(self, fault):
+        p = multiple_root_problem()
+        inject, status, error = JACOBIAN_FAULTS[fault]
+        trace = solve(dataclasses.replace(p, jacobian=fault_at_call(p.jacobian, 2, inject)))
+        assert trace.status is status
+        assert isinstance(trace.cause, error)
+        assert trace.cause.__traceback__ is None
+
+
+class TestLargeSystems:
+    """Problem d's cyclic system at sizes factored by LAPACK."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_odd_size_converges(self, m):
+        trace = solve(cyclic_problem(101), SolverConfig(m=m))
+        assert trace.status is SolveStatus.CONVERGED
+        assert np.abs(trace.x + 1.0).max() <= 1e-12
+
+    def test_even_size_is_singular(self):
+        # J = c (I + P) with P the cyclic shift is singular for even n
+        trace = solve(cyclic_problem(100))
+        assert trace.status is SolveStatus.SINGULAR_JACOBIAN
+        assert trace.it_inv == 0
+        assert isinstance(trace.cause, SingularMatrix)
+        assert str(trace.cause).endswith("at column 99")
+
+    def test_scipy_linalg_never_imported(self):
+        script = textwrap.dedent(
+            """
+            import dataclasses
+            import sys
+            import numpy as np
+            from shamanskii import linalg, registry_get, run_suite, solve
+
+            def lapack_loaded():
+                return linalg._lapack.cache_info().currsize > 0
+
+            assert "scipy" not in sys.modules and not lapack_loaded()
+            run_suite("abcde", (1, 2, 3, 4))
+            assert "scipy" not in sys.modules and not lapack_loaded()
+            d101 = dataclasses.replace(registry_get("d"), dim=101, start=np.full(101, -2.0))
+            assert solve(d101).converged
+            assert lapack_loaded()
+            assert "scipy.linalg" not in sys.modules
+            """
+        )
+        src = str(Path(shamanskii.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestFaultInjection:
