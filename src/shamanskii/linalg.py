@@ -2,25 +2,41 @@
 
 LU factorization with partial (row) pivoting plus the triangular solves and
 the Euclidean norm the nonlinear iteration needs, on plain float64 numpy
-arrays.  Systems with ``n >= LAPACK_MIN_N`` are factored and solved by LAPACK
-``dgetrf``/``dgetrs``; smaller ones, which include all five built-in problems,
-by a Python elimination loop, so they never load a second BLAS.  Both paths
-produce the same packed factors and keep the same checks: non-finite input,
-the singularity threshold and an unmodified input matrix.
+arrays.  Three size bands each use the kernel that is fastest for them
+without costing memory:
+
+* ``n <= 3`` (problems a, b, c and e): a Python elimination loop.  A LAPACK
+  call through ctypes is no faster at this size, and LAPACK scales by the
+  reciprocal of the pivot, which rounds differently and changes the outcome
+  of some runs started far from a root.
+* ``NUMPY_LAPACK_MIN_N <= n < LAPACK_MIN_N`` (problem d, n = 31):
+  ``dgetrf``/``dgetrs``/``dlange`` from the LAPACK numpy itself links,
+  called through ctypes.  That library is already mapped once numpy is
+  imported, so it costs no memory.  Where numpy does not export those
+  routines, this band uses the loop.
+* ``n >= LAPACK_MIN_N``: the same routines from scipy's LAPACK, whose
+  ``dgetrf`` is faster at large n than numpy's copy.  Loading it maps a
+  second BLAS, so only the systems that need it pay for it.
+
+Every path produces the same packed factors and keeps the same checks:
+non-finite input, the singularity threshold and an unmodified input matrix.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "EPS",
     "LAPACK_MIN_N",
+    "NUMPY_LAPACK_MIN_N",
     "DimensionMismatch",
     "NonFiniteInput",
     "SingularMatrix",
@@ -34,9 +50,11 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Smallest n factored by LAPACK.  Below it the elimination loop is fast enough
-# and loading LAPACK's own BLAS would add about 3 MB to every process.
+# Smallest n factored by scipy's LAPACK.  Below it numpy's copy is as fast,
+# and loading scipy's own BLAS would add about 3 MB to every process.
 LAPACK_MIN_N = 32
+# Smallest n factored by numpy's LAPACK; the elimination loop takes smaller n.
+NUMPY_LAPACK_MIN_N = 4
 
 
 class DimensionMismatch(ValueError):
@@ -73,9 +91,23 @@ def norm2(v) -> float:
     return float(np.sqrt(np.dot(v, v)))
 
 
+class _Lapack(NamedTuple):
+    """One LAPACK's kernels, on Fortran-ordered float64 arrays.
+
+    ``norm_inf(a)`` is the infinity norm of ``a``.  ``getrf(a)`` factors
+    ``a`` in place and returns ``(lu, piv)`` with 0-based interchanges.
+    ``getrs(lu, piv, b)`` overwrites ``b`` with the solution and returns it;
+    it never writes to ``piv``, so threads may share one set of factors.
+    """
+
+    norm_inf: Callable[[np.ndarray], float]
+    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    getrs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
 @functools.cache
-def _lapack():
-    """scipy's f2py extension ``_flapack``, which wraps LAPACK.
+def _lapack() -> _Lapack:
+    """LAPACK from scipy's f2py extension ``_flapack``.
 
     The extension is loaded straight from its file, in about 5 ms and 2.5 MB.
     Importing the ``scipy.linalg`` package instead takes 0.2-0.4 s and 27 MB.
@@ -89,7 +121,80 @@ def _lapack():
         raise ImportError(f"scipy's LAPACK extension is required for n >= {LAPACK_MIN_N}")
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
-    return flapack
+    return _Lapack(
+        norm_inf=lambda a: flapack.dlange("I", a),
+        getrf=lambda a: flapack.dgetrf(a, overwrite_a=True)[:2],
+        # The wrapper shifts piv to 1-based and back in place with the GIL
+        # released, so each call gets its own copy.
+        getrs=lambda lu, piv, b: flapack.dgetrs(lu, piv.copy(), b, overwrite_b=True)[0],
+    )
+
+
+# numpy's bundled OpenBLAS is built with 64-bit LAPACK integers (ILP64) and
+# exports its routines as scipy_<name>_64_.
+_INT = ctypes.POINTER(ctypes.c_int64)
+_PTR = ctypes.c_void_p
+
+
+@functools.cache
+def _numpy_lapack() -> _Lapack | None:
+    """LAPACK from the OpenBLAS numpy links, or None where numpy has none.
+
+    ``dlsym`` on numpy's ``_umath_linalg`` extension also searches the
+    libraries it links, which are already mapped.  numpy builds against MKL
+    or Accelerate, and Windows, export no such symbols.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        dgetrf, dgetrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
+        dlange = lib.scipy_dlange_64_
+    except (OSError, AttributeError):
+        return None
+    # The trailing size_t is the hidden length of the Fortran string argument.
+    dgetrf.argtypes = [_INT, _INT, _PTR, _INT, _PTR, _INT]
+    dgetrs.argtypes = [
+        ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, ctypes.c_size_t
+    ]
+    dlange.argtypes = [ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, ctypes.c_size_t]
+    dgetrf.restype = dgetrs.restype = None
+    dlange.restype = ctypes.c_double
+
+    # Every array whose address is passed stays bound to a local name until
+    # the call returns; an unnamed temporary could be freed before it.
+    def norm_inf(a):
+        n = ctypes.c_int64(a.shape[0])
+        work = np.empty(a.shape[0])
+        return dlange(b"I", n, n, a.ctypes.data, n, work.ctypes.data, 1)
+
+    def getrf(a):
+        n = ctypes.c_int64(a.shape[0])
+        piv = np.empty(a.shape[0], dtype=np.int64)
+        dgetrf(n, n, a.ctypes.data, n, piv.ctypes.data, ctypes.c_int64())
+        piv -= 1
+        return a, piv
+
+    def getrs(lu, piv, b):
+        n = ctypes.c_int64(b.shape[0])
+        # getrs reads raw memory: pin lu's layout and give it 1-based int64
+        # pivots in a fresh array, so threads sharing the factors share no buffer
+        lu = np.asfortranarray(lu, dtype=np.float64)
+        ipiv = np.add(piv, 1, dtype=np.int64)
+        dgetrs(
+            b"N", n, ctypes.c_int64(1), lu.ctypes.data, n, ipiv.ctypes.data,
+            b.ctypes.data, n, ctypes.c_int64(), 1,
+        )
+        return b
+
+    return _Lapack(norm_inf, getrf, getrs)
+
+
+def _lapack_for(n: int) -> _Lapack | None:
+    """The LAPACK that factors and solves n x n systems; None means the loop."""
+    if n >= LAPACK_MIN_N:
+        return _lapack()
+    if n >= NUMPY_LAPACK_MIN_N:
+        return _numpy_lapack()
+    return None
 
 
 @dataclass(frozen=True)
@@ -143,15 +248,15 @@ def lu_factor(matrix) -> LUFactors:
     # Copying straight into LAPACK's Fortran order spares getrf a second copy,
     # and dlange spares the threshold an n x n temporary.  At n = 301 on a
     # 2-vCPU Xeon VM the two buffers cost about 0.6 ms, 40% of the call.
-    large = np.ndim(matrix) == 2 and len(matrix) >= LAPACK_MIN_N
-    a = as_matrix(matrix, order="F" if large else "K")
+    shape = np.shape(matrix)
+    lapack = _lapack_for(shape[0]) if len(shape) == 2 and shape[0] == shape[1] else None
+    a = as_matrix(matrix, order="K" if lapack is None else "F")
     if not np.isfinite(a).all():
         raise NonFiniteInput("matrix contains NaN or Inf entries")
     n = a.shape[0]
-    if large:
-        lapack = _lapack()
-        threshold = n * EPS * lapack.dlange("I", a)
-        a, piv, _ = lapack.dgetrf(a, overwrite_a=True)
+    if lapack is not None:
+        threshold = n * EPS * lapack.norm_inf(a)
+        a, piv = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
         bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
@@ -189,12 +294,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     lu, piv = factors.lu, factors.piv
-    if n >= LAPACK_MIN_N:
-        # The wrapper shifts piv to 1-based and back in place with the GIL
-        # released, so threads sharing these factors must not share piv.  x is
-        # this call's own copy, so getrs may overwrite it.
-        x, _ = _lapack().dgetrs(lu, piv.copy(), x, overwrite_b=True)
-        return x
+    lapack = _lapack_for(n)
+    if lapack is not None:
+        # x is this call's own copy, so getrs may overwrite it
+        return lapack.getrs(lu, piv, x)
     # interchange k only moves entries at k and after, so x[i] is final at step i
     for i in range(n):
         p = piv[i]

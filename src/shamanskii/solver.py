@@ -102,8 +102,9 @@ class SolveTrace:
     step plus the start point; ``residual_norms`` aligns with it.  ``it_inv``
     counts Jacobian factorizations, ``it_tot`` chord updates.  Failures land
     in ``status`` with the partial history preserved; ``cause`` holds the
-    exception behind a singular Jacobian, a domain exit or a non-finite
-    Jacobian, without its traceback.
+    exception behind a singular Jacobian, a domain exit, a non-finite
+    Jacobian, or a :class:`NonFiniteIterate` saying which value went
+    non-finite and where, without its traceback.
     """
 
     outer_iterates: list[np.ndarray]
@@ -158,7 +159,9 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
         if inner_record is not None:
             inner_record.append(x)
         if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
-            return x, rhs, steps, SolveStatus.NON_FINITE_ITERATE, None
+            what = "residual" if np.isfinite(x).all() else "update"
+            cause = NonFiniteIterate(f"non-finite {what} at chord step {steps}")
+            return x, rhs, steps, SolveStatus.NON_FINITE_ITERATE, cause
         if cfg.inner_early_exit and norm2(rhs) <= cfg.tol:
             break
     return x, rhs, steps, None, None
@@ -191,7 +194,11 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     res = norm2(rhs)
     norms = [res]
     if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
-        return SolveTrace(outer, norms, 0, 0, SolveStatus.NON_FINITE_ITERATE, inner)
+        what = "residual at the start point" if np.isfinite(x).all() else "start point"
+        return SolveTrace(
+            outer, norms, 0, 0, SolveStatus.NON_FINITE_ITERATE, inner,
+            NonFiniteIterate(f"non-finite {what}"),
+        )
 
     status = cause = None
     while status is None and res > cfg.tol:
@@ -222,11 +229,11 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     """
     cfg = SolverConfig(m=m)
     v = as_vector(x)
-    x_new, rhs_new, steps, status, cause = _outer_step(problem, v, evaluate_f(problem, v), cfg)
+    x_new, rhs_new, steps, _, cause = _outer_step(problem, v, evaluate_f(problem, v), cfg)
+    if isinstance(cause, NonFiniteIterate):
+        raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:
         raise cause
-    if status is not None:
-        raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     return x_new, norm2(rhs_new), steps
 
 

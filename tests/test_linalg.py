@@ -4,8 +4,11 @@ import threading
 import numpy as np
 import pytest
 
+from shamanskii import linalg
+from shamanskii.cli import main
 from shamanskii.linalg import (
     LAPACK_MIN_N,
+    NUMPY_LAPACK_MIN_N,
     DimensionMismatch,
     NonFiniteInput,
     SingularMatrix,
@@ -13,8 +16,11 @@ from shamanskii.linalg import (
     lu_solve,
     norm2,
 )
+from shamanskii.problems import registry_get
+from shamanskii.solver import solve
 
-LAPACK_SIZES = (LAPACK_MIN_N, 64, 101, 301)
+# numpy's LAPACK takes the first three sizes, scipy's the rest
+LAPACK_SIZES = (NUMPY_LAPACK_MIN_N, 8, LAPACK_MIN_N - 1, LAPACK_MIN_N, 64, 101, 301)
 
 
 def inf_norm(a):
@@ -234,6 +240,50 @@ class TestLapackPath:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
+
+
+class TestDispatch:
+    """Which kernel factors which size."""
+
+    def test_small_systems_stay_on_the_loop(self, monkeypatch):
+        # LAPACK rounds differently, which would change runs of a, b, c and e
+        def refuse():
+            raise AssertionError("numpy's LAPACK requested for n < NUMPY_LAPACK_MIN_N")
+
+        monkeypatch.setattr(linalg, "_numpy_lapack", refuse)
+        for name in "abce":
+            assert solve(registry_get(name)).converged
+
+    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1])
+    def test_middle_band_asks_numpy_lapack(self, monkeypatch, n):
+        calls = []
+        loader = linalg._numpy_lapack
+        monkeypatch.setattr(linalg, "_numpy_lapack", lambda: calls.append(n) or loader())
+        lu_solve(lu_factor(np.eye(n)), np.ones(n))
+        assert calls == [n, n]
+
+    def test_loop_when_numpy_has_no_lapack(self, monkeypatch, capsys):
+        def suite_outputs():
+            outputs = []
+            for fmt in ("table", "csv", "json"):
+                assert main(["suite", "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+            return outputs
+
+        expected = suite_outputs()
+        monkeypatch.setattr(linalg, "_numpy_lapack", lambda: None)
+        assert suite_outputs() == expected
+        # n = 31 on the loop still meets the criterion-5 bounds
+        n = LAPACK_MIN_N - 1
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        b = rng.uniform(-1.0, 1.0, n)
+        factors = lu_factor(a)
+        assert factors.lu.flags.c_contiguous  # the loop keeps the input's layout
+        err = inf_norm(a[factors.perm] - factors.lower @ factors.upper)
+        assert err / inf_norm(a) <= 1e-13
+        x = lu_solve(factors, b)
+        assert np.abs(a @ x - b).max() / (inf_norm(a) * np.abs(x).max()) <= 1e-12
 
 
 class TestNorm2:

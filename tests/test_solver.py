@@ -233,6 +233,49 @@ class TestFailureCause:
         assert isinstance(trace.cause, error)
         assert trace.cause.__traceback__ is None
 
+    @pytest.mark.parametrize("k,m", [(1, 1), (4, 1), (3, 3), (5, 3)])
+    def test_non_finite_residual(self, k, m):
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(
+            p, residual=fault_at_call(p.residual, k, lambda x: np.array([np.nan]))
+        )
+        trace = solve(faulty, SolverConfig(m=m))
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert isinstance(trace.cause, NonFiniteIterate)
+        assert str(trace.cause) == f"non-finite residual at chord step {(k - 1) % m + 1}"
+        assert trace.cause.__traceback__ is None
+
+    def test_non_finite_update(self):
+        # the pivot 1e-310 passes the threshold, but the step 1 / 1e-310 overflows
+        p = one_dim_problem("flat", lambda v: v - 1.0, lambda v: 1e-310, 0.0)
+        with np.errstate(over="ignore"):
+            trace = solve(p)
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert str(trace.cause) == "non-finite update at chord step 1"
+
+    @pytest.mark.parametrize(
+        "start,residual,message",
+        [
+            (np.nan, lambda v: v, "non-finite start point"),
+            (0.0, lambda v: np.nan, "non-finite residual at the start point"),
+        ],
+        ids=["start_point", "residual"],
+    )
+    def test_non_finite_start(self, start, residual, message):
+        trace = solve(one_dim_problem("bad-start", residual, lambda v: 1.0, start))
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert isinstance(trace.cause, NonFiniteIterate)
+        assert str(trace.cause) == message
+
+    def test_outer_step_message_unchanged(self):
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(
+            p, residual=fault_at_call(p.residual, 2, lambda x: np.array([np.nan]))
+        )
+        message = r"^non-finite iterate after 2 chord update\(s\)$"
+        with pytest.raises(NonFiniteIterate, match=message):
+            outer_step(faulty, p.start, m=3)
+
 
 class TestLargeSystems:
     """Problem d's cyclic system at sizes factored by LAPACK."""
