@@ -5,10 +5,16 @@ the Euclidean norm the nonlinear iteration needs, on plain float64 numpy
 arrays.  Three size bands each use the kernel that is fastest for them
 without costing memory:
 
-* ``n <= 3`` (problems a, b, c and e): a Python elimination loop.  A LAPACK
-  call through ctypes is no faster at this size, and LAPACK scales by the
-  reciprocal of the pivot, which rounds differently and changes the outcome
-  of some runs started far from a root.
+* ``n <= 3`` (problems a, b, c and e): an elimination loop on Python
+  floats.  At this size the cost is per-call overhead, not arithmetic, so
+  the loop reads the matrix once with ``tolist()`` instead of making a
+  numpy call per element; that halves a 2x2 or 3x3 factorization and
+  solve.  A LAPACK call through ctypes costs more still, and LAPACK scales
+  by the reciprocal of the pivot, which rounds differently and changes the
+  outcome of some runs started far from a root.  The loop rounds as the
+  numpy-vectorised loop it replaced did, with one exception: that loop's
+  two-term dot product at n = 3 went to BLAS, which may fuse it into one
+  FMA, so an n = 3 solution can differ from it in the last bit.
 * ``NUMPY_LAPACK_MIN_N <= n < LAPACK_MIN_N`` (problem d, n = 31):
   ``dgetrf``/``dgetrs``/``dlange`` from the LAPACK numpy itself links,
   called through ctypes.  That library is already mapped once numpy is
@@ -28,7 +34,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,14 +101,16 @@ class _Lapack(NamedTuple):
     """One LAPACK's kernels, on Fortran-ordered float64 arrays.
 
     ``norm_inf(a)`` is the infinity norm of ``a``.  ``getrf(a)`` factors
-    ``a`` in place and returns ``(lu, piv)`` with 0-based interchanges.
-    ``getrs(lu, piv, b)`` overwrites ``b`` with the solution and returns it;
-    it never writes to ``piv``, so threads may share one set of factors.
+    ``a`` in place and returns ``(lu, piv, state)`` with 0-based
+    interchanges; ``state`` is whatever this LAPACK's ``getrs`` wants
+    prepared once per factorization, or None.  ``getrs(factors, b)``
+    overwrites ``b`` with the solution and returns it; it writes to no
+    array of the factors, so threads may share one set of them.
     """
 
     norm_inf: Callable[[np.ndarray], float]
-    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    getrs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, object]]
+    getrs: Callable[[LUFactors, np.ndarray], np.ndarray]
 
 
 @functools.cache
@@ -123,10 +131,10 @@ def _lapack() -> _Lapack:
     spec.loader.exec_module(flapack)
     return _Lapack(
         norm_inf=lambda a: flapack.dlange("I", a),
-        getrf=lambda a: flapack.dgetrf(a, overwrite_a=True)[:2],
+        getrf=lambda a: (*flapack.dgetrf(a, overwrite_a=True)[:2], None),
         # The wrapper shifts piv to 1-based and back in place with the GIL
         # released, so each call gets its own copy.
-        getrs=lambda lu, piv, b: flapack.dgetrs(lu, piv.copy(), b, overwrite_b=True)[0],
+        getrs=lambda f, b: flapack.dgetrs(f.lu, f.piv.copy(), b, overwrite_b=True)[0],
     )
 
 
@@ -168,20 +176,19 @@ def _numpy_lapack() -> _Lapack | None:
 
     def getrf(a):
         n = ctypes.c_int64(a.shape[0])
-        piv = np.empty(a.shape[0], dtype=np.int64)
-        dgetrf(n, n, a.ctypes.data, n, piv.ctypes.data, ctypes.c_int64())
-        piv -= 1
-        return a, piv
+        ipiv = np.empty(a.shape[0], dtype=np.int64)
+        lu_ptr, ipiv_ptr = a.ctypes.data, ipiv.ctypes.data
+        dgetrf(n, n, lu_ptr, n, ipiv_ptr, ctypes.c_int64())
+        ipiv.setflags(write=False)
+        # getrs only reads lu and the 1-based pivots, so every solve and
+        # thread can pass the same addresses; the state keeps both alive.
+        return a, ipiv - 1, (a, ipiv, lu_ptr, ipiv_ptr)
 
-    def getrs(lu, piv, b):
+    def getrs(factors, b):
         n = ctypes.c_int64(b.shape[0])
-        # getrs reads raw memory: pin lu's layout and give it 1-based int64
-        # pivots in a fresh array, so threads sharing the factors share no buffer
-        lu = np.asfortranarray(lu, dtype=np.float64)
-        ipiv = np.add(piv, 1, dtype=np.int64)
+        *_, lu_ptr, ipiv_ptr = factors._getrs_state
         dgetrs(
-            b"N", n, ctypes.c_int64(1), lu.ctypes.data, n, ipiv.ctypes.data,
-            b.ctypes.data, n, ctypes.c_int64(), 1,
+            b"N", n, ctypes.c_int64(1), lu_ptr, n, ipiv_ptr, b.ctypes.data, n, ctypes.c_int64(), 1
         )
         return b
 
@@ -204,12 +211,15 @@ class LUFactors:
     ``lu`` holds ``L`` below the diagonal (its unit diagonal is implied) and
     ``U`` on and above it, as LAPACK ``getrf`` stores them.  ``piv`` lists the
     row interchanges in order, 0-based: row ``k`` was swapped with row
-    ``piv[k]``.  Both arrays are read-only.
+    ``piv[k]``.  Both arrays are read-only.  Make them with :func:`lu_factor`,
+    which also prepares what the LAPACK sizes' solves read.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
+    # what this size's getrs wants prepared once per factorization
+    _getrs_state: object = field(default=None, repr=False, compare=False)
 
     @property
     def lower(self) -> np.ndarray:
@@ -256,7 +266,7 @@ def lu_factor(matrix) -> LUFactors:
     n = a.shape[0]
     if lapack is not None:
         threshold = n * EPS * lapack.norm_inf(a)
-        a, piv = lapack.getrf(a)
+        a, piv, state = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
         bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
@@ -264,21 +274,37 @@ def lu_factor(matrix) -> LUFactors:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
     else:
-        threshold = n * EPS * float(np.abs(a).sum(axis=1).max())
-        piv = np.empty(n, dtype=np.int32)
+        rows = a.tolist()
+        # row sums left to right, as numpy's reduction adds up short rows
+        norm = 0.0
+        for row in rows:
+            total = 0.0
+            for v in row:
+                total += abs(v)
+            norm = max(norm, total)
+        threshold = n * EPS * norm
+        piv = []
         for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            pivot = abs(a[p, k])
+            # the first entry of largest magnitude, as np.argmax picks it
+            p, pivot = k, abs(rows[k][k])
+            for i in range(k + 1, n):
+                if abs(rows[i][k]) > pivot:
+                    p, pivot = i, abs(rows[i][k])
             if pivot < threshold or pivot == 0.0:
                 raise _singular(pivot, threshold, k)
-            piv[k] = p
-            if p != k:
-                a[[k, p]] = a[[p, k]]
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+            piv.append(p)
+            rows[k], rows[p] = rows[p], rows[k]
+            top = rows[k]
+            for row in rows[k + 1 :]:
+                row[k] = l = row[k] / top[k]
+                for j in range(k + 1, n):
+                    row[j] -= l * top[j]
+        a = np.array(rows)
+        piv = np.array(piv, dtype=np.int32)
+        state = None
     a.setflags(write=False)
     piv.setflags(write=False)
-    return LUFactors(lu=a, piv=piv, n=n)
+    return LUFactors(lu=a, piv=piv, n=n, _getrs_state=state)
 
 
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
@@ -293,17 +319,23 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     n = factors.n
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-    lu, piv = factors.lu, factors.piv
     lapack = _lapack_for(n)
     if lapack is not None:
         # x is this call's own copy, so getrs may overwrite it
-        return lapack.getrs(lu, piv, x)
-    # interchange k only moves entries at k and after, so x[i] is final at step i
-    for i in range(n):
-        p = piv[i]
-        if p != i:
-            x[i], x[p] = x[p], x[i]
-        x[i] -= lu[i, :i] @ x[:i]
+        return lapack.getrs(factors, x)
+    lu, xs = factors.lu.tolist(), x.tolist()
+    # Each row's dot product is summed before it is subtracted, as the
+    # vectorised substitution did.  Interchange i only moves entries at i
+    # and after, so xs[i] is final at step i.
+    for i, p in enumerate(factors.piv.tolist()):
+        xs[i], xs[p] = xs[p], xs[i]
+        row, dot = lu[i], 0.0
+        for j in range(i):
+            dot += row[j] * xs[j]
+        xs[i] -= dot
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
-    return x
+        row, dot = lu[i], 0.0
+        for j in range(i + 1, n):
+            dot += row[j] * xs[j]
+        xs[i] = (xs[i] - dot) / row[i]
+    return np.array(xs)

@@ -167,6 +167,12 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     return x, rhs, steps, None, None
 
 
+# A run records non-finite values in its status and cause; numpy's warnings
+# about them would only reach the caller's stderr.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     """Drive the frozen-Jacobian iteration from the problem's start point.
 
@@ -219,6 +225,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     )
 
 
+@_quiet
 def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     """One factorization followed by an ``m``-step chord sweep from ``x``.
 

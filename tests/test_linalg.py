@@ -1,15 +1,20 @@
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shamanskii import linalg
 from shamanskii.cli import main
 from shamanskii.linalg import (
+    EPS,
     LAPACK_MIN_N,
     NUMPY_LAPACK_MIN_N,
     DimensionMismatch,
+    LUFactors,
     NonFiniteInput,
     SingularMatrix,
     lu_factor,
@@ -25,6 +30,45 @@ LAPACK_SIZES = (NUMPY_LAPACK_MIN_N, 8, LAPACK_MIN_N - 1, LAPACK_MIN_N, 64, 101, 
 
 def inf_norm(a):
     return float(np.abs(np.atleast_2d(a)).sum(axis=1).max())
+
+
+def reference_factor(matrix):
+    """The numpy-vectorised elimination the Python-float loop replaced."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    threshold = n * EPS * float(np.abs(a).sum(axis=1).max())
+    piv = np.empty(n, dtype=np.int32)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = abs(a[p, k])
+        if pivot < threshold or pivot == 0.0:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} below threshold {threshold:.3e} at column {k}"
+            )
+        piv[k] = p
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+        a[k + 1 :, k] /= a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return a, piv
+
+
+def reference_solve(lu, piv, b):
+    x = np.array(b, dtype=np.float64)
+    n = x.shape[0]
+    for i in range(n):
+        p = piv[i]
+        if p != i:
+            x[i], x[p] = x[p], x[i]
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - lu[i, i + 1 :] @ x[i + 1 :]) / lu[i, i]
+    return x
+
+
+def scaled_uniform(rng, shape):
+    """Entries of either sign whose magnitudes span 1e-8 to 1e8."""
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
 
 class TestLuFactor:
@@ -284,6 +328,94 @@ class TestDispatch:
         assert err / inf_norm(a) <= 1e-13
         x = lu_solve(factors, b)
         assert np.abs(a @ x - b).max() / (inf_norm(a) * np.abs(x).max()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+class TestSmallSystemBits:
+    """n <= 3 runs on Python floats, with the vectorised loop's roundings."""
+
+    @pytest.mark.parametrize("kind", ["scaled", "ties"])
+    def test_factors_match_reference(self, n, kind):
+        # small integers tie often, which pins the choice among equal pivots
+        rng = np.random.default_rng(100 + n)
+        for _ in range(2000):
+            if kind == "scaled":
+                a = scaled_uniform(rng, (n, n))
+            else:
+                a = rng.integers(-2, 3, (n, n)).astype(np.float64)
+            try:
+                lu, piv = reference_factor(a)
+            except SingularMatrix as exc:
+                with pytest.raises(SingularMatrix, match=f"^{re.escape(str(exc))}$"):
+                    lu_factor(a)
+                continue
+            factors = lu_factor(a)
+            assert factors.lu.tobytes() == lu.tobytes()
+            assert factors.lu.flags.c_contiguous
+            assert factors.piv.dtype == np.int32
+            assert np.array_equal(factors.piv, piv)
+
+    def test_solves_match_reference(self, n):
+        # A length-2 dot product in the vectorised substitution goes to BLAS,
+        # which may fuse it into one FMA; Python floats round each product,
+        # so n = 3 may differ in the last bit and only n = 2 is pinned.
+        rng = np.random.default_rng(200 + n)
+        for _ in range(2000):
+            a = scaled_uniform(rng, (n, n))
+            b = scaled_uniform(rng, n)
+            try:
+                lu, piv = reference_factor(a)
+            except SingularMatrix:
+                continue
+            x = lu_solve(lu_factor(a), b)
+            expected = reference_solve(lu, piv, b)
+            if n == 2:
+                assert x.tobytes() == expected.tobytes()
+            assert np.abs(a @ x - b).max() <= 1e-12 * inf_norm(a) * np.abs(x).max()
+
+
+@st.composite
+def small_systems(draw):
+    """``(a, b)`` with n in {2, 3}; ``a`` is random, or near-singular: its last
+    row is a combination of the others plus 10**-k times itself, k in 0..20."""
+    n = draw(st.sampled_from([2, 3]))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    def vector(size):
+        return np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+
+    a = vector(n * n).reshape(n, n) * 10.0 ** draw(st.integers(-8, 8))
+    if draw(st.booleans()):
+        a[-1] = vector(n - 1) @ a[:-1] + 10.0 ** -draw(st.integers(0, 20)) * a[-1]
+    return a, vector(n)
+
+
+class TestSmallSystemProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems())
+    def test_factor_meets_bounds_or_raises(self, system):
+        # the criterion-5 bounds, or SingularMatrix; never a NaN
+        a, b = system
+        try:
+            factors = lu_factor(a)
+        except SingularMatrix:
+            return
+        assert np.isfinite(factors.lu).all()
+        err = inf_norm(a[factors.perm] - factors.lower @ factors.upper)
+        assert err <= 1e-13 * inf_norm(a)
+        x = lu_solve(factors, b)
+        assert np.isfinite(x).all()
+        assert np.abs(a @ x - b).max() <= 1e-12 * inf_norm(a) * np.abs(x).max()
+
+
+class TestGetrsState:
+    """What a getrs reads is prepared once, in lu_factor, out of sight."""
+
+    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+    def test_equality_and_repr_ignore_it(self, n):
+        factors = lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)))
+        assert factors == LUFactors(factors.lu, factors.piv, factors.n)
+        assert "_getrs_state" not in repr(factors)
 
 
 class TestNorm2:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,28 @@ class TestFailureStatuses:
         assert trace.status is SolveStatus.MAX_ITERATIONS
         assert trace.it_tot == expected_tot
         assert trace.it_tot == 2 * trace.it_inv
+
+
+class TestFloatingPointWarnings:
+    """Overflow far from a root ends up in the trace, not on stderr."""
+
+    FAR = dataclasses.replace(registry_get("c"), start=np.array([800.0, 1.0, 2.0]))
+
+    def test_solve_emits_none(self):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(self.FAR)
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert str(trace.cause) == "non-finite residual at the start point"
+        assert np.geterr() == before
+
+    def test_outer_step_emits_none(self):
+        # exp(800) overflows in F and in J, so the factorization refuses J
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                outer_step(self.FAR, self.FAR.start, 1)
 
 
 class TestFailureCause:
