@@ -101,16 +101,15 @@ class _Lapack(NamedTuple):
     """One LAPACK's kernels, on Fortran-ordered float64 arrays.
 
     ``norm_inf(a)`` is the infinity norm of ``a``.  ``getrf(a)`` factors
-    ``a`` in place and returns ``(lu, piv, state)`` with 0-based
-    interchanges; ``state`` is whatever this LAPACK's ``getrs`` wants
-    prepared once per factorization, or None.  ``getrs(factors, b)``
-    overwrites ``b`` with the solution and returns it; it writes to no
-    array of the factors, so threads may share one set of them.
+    ``a`` in place and returns ``(lu, ipiv)`` with LAPACK's 1-based
+    interchanges.  ``getrs(lu, ipiv, b)`` overwrites ``b`` with the solution
+    and returns it; it never writes to ``ipiv``, so threads may share one set
+    of factors.
     """
 
     norm_inf: Callable[[np.ndarray], float]
-    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, object]]
-    getrs: Callable[[LUFactors, np.ndarray], np.ndarray]
+    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    getrs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @functools.cache
@@ -129,12 +128,17 @@ def _lapack() -> _Lapack:
         raise ImportError(f"scipy's LAPACK extension is required for n >= {LAPACK_MIN_N}")
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
+
+    # The wrappers take 0-based pivots.  dgetrs shifts them to 1-based and
+    # back in place with the GIL released, so each call gets its own copy.
+    def getrf(a):
+        lu, piv, _ = flapack.dgetrf(a, overwrite_a=True)
+        return lu, piv + 1
+
     return _Lapack(
         norm_inf=lambda a: flapack.dlange("I", a),
-        getrf=lambda a: (*flapack.dgetrf(a, overwrite_a=True)[:2], None),
-        # The wrapper shifts piv to 1-based and back in place with the GIL
-        # released, so each call gets its own copy.
-        getrs=lambda f, b: flapack.dgetrs(f.lu, f.piv.copy(), b, overwrite_b=True)[0],
+        getrf=getrf,
+        getrs=lambda lu, ipiv, b: flapack.dgetrs(lu, ipiv - 1, b, overwrite_b=True)[0],
     )
 
 
@@ -177,18 +181,17 @@ def _numpy_lapack() -> _Lapack | None:
     def getrf(a):
         n = ctypes.c_int64(a.shape[0])
         ipiv = np.empty(a.shape[0], dtype=np.int64)
-        lu_ptr, ipiv_ptr = a.ctypes.data, ipiv.ctypes.data
-        dgetrf(n, n, lu_ptr, n, ipiv_ptr, ctypes.c_int64())
-        ipiv.setflags(write=False)
-        # getrs only reads lu and the 1-based pivots, so every solve and
-        # thread can pass the same addresses; the state keeps both alive.
-        return a, ipiv - 1, (a, ipiv, lu_ptr, ipiv_ptr)
+        dgetrf(n, n, a.ctypes.data, n, ipiv.ctypes.data, ctypes.c_int64())
+        return a, ipiv
 
-    def getrs(factors, b):
+    def getrs(lu, ipiv, b):
         n = ctypes.c_int64(b.shape[0])
-        *_, lu_ptr, ipiv_ptr = factors._getrs_state
+        # getrs reads raw memory: pin the layout of hand-built factors
+        lu = np.asfortranarray(lu, dtype=np.float64)
+        ipiv = np.ascontiguousarray(ipiv, dtype=np.int64)
         dgetrs(
-            b"N", n, ctypes.c_int64(1), lu_ptr, n, ipiv_ptr, b.ctypes.data, n, ctypes.c_int64(), 1
+            b"N", n, ctypes.c_int64(1), lu.ctypes.data, n, ipiv.ctypes.data,
+            b.ctypes.data, n, ctypes.c_int64(), 1,
         )
         return b
 
@@ -211,15 +214,14 @@ class LUFactors:
     ``lu`` holds ``L`` below the diagonal (its unit diagonal is implied) and
     ``U`` on and above it, as LAPACK ``getrf`` stores them.  ``piv`` lists the
     row interchanges in order, 0-based: row ``k`` was swapped with row
-    ``piv[k]``.  Both arrays are read-only.  Make them with :func:`lu_factor`,
-    which also prepares what the LAPACK sizes' solves read.
+    ``piv[k]``.  Both arrays are read-only.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
-    # what this size's getrs wants prepared once per factorization
-    _getrs_state: object = field(default=None, repr=False, compare=False)
+    # LAPACK's 1-based pivots, kept from getrf so solves need not rebuild them
+    _ipiv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def lower(self) -> np.ndarray:
@@ -266,13 +268,15 @@ def lu_factor(matrix) -> LUFactors:
     n = a.shape[0]
     if lapack is not None:
         threshold = n * EPS * lapack.norm_inf(a)
-        a, piv, state = lapack.getrf(a)
+        a, ipiv = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
         bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
         if bad.size:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
+        piv = ipiv - 1
+        ipiv.setflags(write=False)
     else:
         rows = a.tolist()
         # row sums left to right, as numpy's reduction adds up short rows
@@ -301,10 +305,10 @@ def lu_factor(matrix) -> LUFactors:
                     row[j] -= l * top[j]
         a = np.array(rows)
         piv = np.array(piv, dtype=np.int32)
-        state = None
+        ipiv = None
     a.setflags(write=False)
     piv.setflags(write=False)
-    return LUFactors(lu=a, piv=piv, n=n, _getrs_state=state)
+    return LUFactors(lu=a, piv=piv, n=n, _ipiv=ipiv)
 
 
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
@@ -321,8 +325,11 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     lapack = _lapack_for(n)
     if lapack is not None:
+        ipiv = factors._ipiv
+        if ipiv is None:
+            ipiv = np.add(factors.piv, 1, dtype=np.int64)
         # x is this call's own copy, so getrs may overwrite it
-        return lapack.getrs(factors, x)
+        return lapack.getrs(factors.lu, ipiv, x)
     lu, xs = factors.lu.tolist(), x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i

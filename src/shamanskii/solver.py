@@ -9,6 +9,7 @@ sweep turns into the classic chord method.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -167,9 +168,21 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     return x, rhs, steps, None, None
 
 
-# A run records non-finite values in its status and cause; numpy's warnings
-# about them would only reach the caller's stderr.
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _quiet(func):
+    """``func`` with numpy's floating-point warnings off.
+
+    A run records non-finite values in its status and cause; numpy's warnings
+    about them would only reach the caller's stderr.
+    """
+
+    @functools.wraps(func)
+    def quiet(*args, **kwargs):
+        # a fresh errstate per call: numpy 1.x saves the caller's settings on
+        # the instance, so threads sharing one would restore each other's
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return func(*args, **kwargs)
+
+    return quiet
 
 
 @_quiet

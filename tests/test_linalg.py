@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import re
 import sys
 import threading
@@ -408,14 +411,47 @@ class TestSmallSystemProperties:
         assert np.abs(a @ x - b).max() <= 1e-12 * inf_norm(a) * np.abs(x).max()
 
 
-class TestGetrsState:
-    """What a getrs reads is prepared once, in lu_factor, out of sight."""
+@pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+class TestSavedPivots:
+    """lu_factor keeps LAPACK's 1-based pivots for the solves, out of sight."""
 
-    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
-    def test_equality_and_repr_ignore_it(self, n):
-        factors = lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)))
+    @staticmethod
+    def system(n):
+        rng = np.random.default_rng(n)
+        return rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+
+    def test_equality_and_repr_ignore_them(self, n):
+        factors = lu_factor(self.system(n)[0])
         assert factors == LUFactors(factors.lu, factors.piv, factors.n)
-        assert "_getrs_state" not in repr(factors)
+        assert "_ipiv" not in repr(factors)
+
+    def test_read_only_and_one_based(self, n):
+        ipiv = lu_factor(self.system(n)[0])._ipiv
+        if n < NUMPY_LAPACK_MIN_N:
+            assert ipiv is None
+            return
+        assert not ipiv.flags.writeable
+        assert np.array_equal(ipiv, lu_factor(self.system(n)[0]).piv + 1)
+
+    @pytest.mark.parametrize("layout", ["kept", "C"])
+    def test_hand_built_factors_solve(self, n, layout):
+        a, b = self.system(n)
+        factors = lu_factor(a)
+        lu = np.ascontiguousarray(factors.lu) if layout == "C" else factors.lu
+        x = lu_solve(LUFactors(lu, factors.piv, n), b)
+        assert x.tobytes() == lu_solve(factors, b).tobytes()
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_copies_solve_after_the_original_is_gone(self, n, copier):
+        a, b = self.system(n)
+        factors = lu_factor(a)
+        expected = lu_solve(factors, b)
+        duplicate = copier(factors)
+        del factors
+        gc.collect()
+        # reuse the freed memory, so a dangling reference would read garbage
+        _ = [np.full((n, n), np.nan) for _ in range(8)]
+        assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
 
 
 class TestNorm2:
