@@ -25,7 +25,10 @@ without costing memory:
   second BLAS, so only the systems that need it pay for it.
 
 Every path produces the same packed factors and keeps the same checks:
-non-finite input, the singularity threshold and an unmodified input matrix.
+shapes, non-finite input, the singularity threshold and an unmodified input.
+The checks live at the public entry points, which copy an operand only where
+a LAPACK kernel writes to it.  ``solve`` checks its start point once, at its
+boundary, then makes one finiteness test per chord step.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -47,8 +51,6 @@ __all__ = [
     "NonFiniteInput",
     "SingularMatrix",
     "LUFactors",
-    "as_matrix",
-    "as_vector",
     "lu_factor",
     "lu_solve",
     "norm2",
@@ -73,22 +75,6 @@ class NonFiniteInput(ValueError):
 
 class SingularMatrix(ArithmeticError):
     """Elimination hit a pivot below the singularity threshold."""
-
-
-def as_vector(values) -> np.ndarray:
-    """Coerce ``values`` to a fresh 1-D float64 array."""
-    v = np.array(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    return v
-
-
-def as_matrix(values, order="K") -> np.ndarray:
-    """Coerce ``values`` to a fresh square 2-D float64 array laid out in ``order``."""
-    a = np.array(values, dtype=np.float64, order=order)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
-    return a
 
 
 def norm2(v) -> float:
@@ -221,7 +207,9 @@ class LUFactors:
     piv: np.ndarray
     n: int
     # LAPACK's 1-based pivots, kept from getrf so solves need not rebuild them
-    _ipiv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _ipiv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # the loop's rows of lu and its pivots as Python lists, which solves only read
+    _lists: tuple[list, list] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def lower(self) -> np.ndarray:
@@ -257,16 +245,18 @@ def lu_factor(matrix) -> LUFactors:
     naming the first such column, instead of letting Inf/NaN leak into later
     computations.  The caller's matrix is never modified.
     """
-    # Copying straight into LAPACK's Fortran order spares getrf a second copy,
-    # and dlange spares the threshold an n x n temporary.  At n = 301 on a
-    # 2-vCPU Xeon VM the two buffers cost about 0.6 ms, 40% of the call.
-    shape = np.shape(matrix)
-    lapack = _lapack_for(shape[0]) if len(shape) == 2 and shape[0] == shape[1] else None
-    a = as_matrix(matrix, order="K" if lapack is None else "F")
-    if not np.isfinite(a).all():
-        raise NonFiniteInput("matrix contains NaN or Inf entries")
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
+    lapack = _lapack_for(n)
+    ipiv = lists = None
     if lapack is not None:
+        # getrf factors in place, so it gets a copy in its Fortran order (a block
+        # copy of a Fortran-ordered input); dlange spares the threshold a temporary
+        a = np.array(a, order="F")
+        if not np.isfinite(a).all():
+            raise NonFiniteInput("matrix contains NaN or Inf entries")
         threshold = n * EPS * lapack.norm_inf(a)
         a, ipiv = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
@@ -279,12 +269,15 @@ def lu_factor(matrix) -> LUFactors:
         ipiv.setflags(write=False)
     else:
         rows = a.tolist()
-        # row sums left to right, as numpy's reduction adds up short rows
+        # row sums left to right, as numpy's reduction adds up short rows; a
+        # sum is finite unless an entry is NaN or Inf or the entries overflow it
         norm = 0.0
         for row in rows:
             total = 0.0
             for v in row:
                 total += abs(v)
+            if not math.isfinite(total) and not all(map(math.isfinite, row)):
+                raise NonFiniteInput("matrix contains NaN or Inf entries")
             norm = max(norm, total)
         threshold = n * EPS * norm
         piv = []
@@ -303,12 +296,15 @@ def lu_factor(matrix) -> LUFactors:
                 row[k] = l = row[k] / top[k]
                 for j in range(k + 1, n):
                     row[j] -= l * top[j]
+        lists = rows, piv
         a = np.array(rows)
         piv = np.array(piv, dtype=np.int32)
-        ipiv = None
     a.setflags(write=False)
     piv.setflags(write=False)
-    return LUFactors(lu=a, piv=piv, n=n, _ipiv=ipiv)
+    factors = LUFactors(lu=a, piv=piv, n=n)
+    # set past __init__, so that dataclasses.replace leaves them behind
+    vars(factors).update(_ipiv=ipiv, _lists=lists)
+    return factors
 
 
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
@@ -319,7 +315,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     of the iteration: each call costs O(n^2) against O(n^3) for the
     factorization itself.
     """
-    x = as_vector(b)
+    # not a copy: only getrs writes to b, and it gets its own
+    x = np.asarray(b, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
     n = factors.n
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
@@ -328,13 +327,13 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
         ipiv = factors._ipiv
         if ipiv is None:
             ipiv = np.add(factors.piv, 1, dtype=np.int64)
-        # x is this call's own copy, so getrs may overwrite it
-        return lapack.getrs(factors.lu, ipiv, x)
-    lu, xs = factors.lu.tolist(), x.tolist()
+        return lapack.getrs(factors.lu, ipiv, np.array(x))
+    lu, piv = factors._lists or (factors.lu.tolist(), factors.piv.tolist())
+    xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i
     # and after, so xs[i] is final at step i.
-    for i, p in enumerate(factors.piv.tolist()):
+    for i, p in enumerate(piv):
         xs[i], xs[p] = xs[p], xs[i]
         row, dot = lu[i], 0.0
         for j in range(i):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_vector
+from .linalg import DimensionMismatch
 
 __all__ = [
     "DomainViolation",
@@ -60,15 +60,15 @@ class Problem:
 
 
 def evaluate_f(problem: Problem, x) -> np.ndarray:
-    """Evaluate the residual map at ``x`` after validating the dimension."""
-    v = _checked_input(problem, x)
-    return problem.residual(v)
+    """Evaluate the residual map at ``x``, checking the shapes of ``x`` and of F(x)."""
+    f = problem.residual(_checked(problem, "x", x, (problem.dim,)))
+    return _checked(problem, "residual(x)", f, (problem.dim,))
 
 
 def evaluate_jacobian(problem: Problem, x) -> np.ndarray:
-    """Evaluate the analytic Jacobian at ``x`` after validating the dimension."""
-    v = _checked_input(problem, x)
-    return problem.jacobian(v)
+    """Evaluate the analytic Jacobian at ``x``, checking the shapes of ``x`` and of J(x)."""
+    jac = problem.jacobian(_checked(problem, "x", x, (problem.dim,)))
+    return _checked(problem, "jacobian(x)", jac, (problem.dim, problem.dim))
 
 
 def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
@@ -78,22 +78,20 @@ def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
     :class:`DomainViolation` if a perturbed point leaves the problem's domain,
     so ``x`` should sit inside the domain with margin larger than ``h``.
     """
-    v = _checked_input(problem, x)
-    columns = []
-    for j in range(problem.dim):
-        step = np.zeros(problem.dim)
-        step[j] = h
-        columns.append((problem.residual(v + step) - problem.residual(v - step)) / (2.0 * h))
+    v = _checked(problem, "x", x, (problem.dim,))
+    columns = [(evaluate_f(problem, v + s) - evaluate_f(problem, v - s)) / (2.0 * h)
+               for s in h * np.eye(problem.dim)]
     return np.column_stack(columns)
 
 
-def _checked_input(problem: Problem, x) -> np.ndarray:
-    v = as_vector(x)
-    if v.shape[0] != problem.dim:
+def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
+    # Not a copy: residual and jacobian are pure, so they do not write to x.
+    out = np.asarray(value, dtype=np.float64)
+    if out.shape != shape:
         raise DimensionMismatch(
-            f"problem {problem.name!r} expects length {problem.dim}, got {v.shape[0]}"
+            f"problem {problem.name!r}: {name} has shape {out.shape}, expected {shape}"
         )
-    return v
+    return out
 
 
 # --- the benchmark systems --------------------------------------------------
@@ -155,7 +153,7 @@ def _jacobian_d(x):
     n = x.shape[0]
     rows = np.arange(n)
     cols = (rows + 1) % n
-    jac = np.zeros((n, n))
+    jac = np.zeros((n, n), order="F")  # the layout LAPACK factors in
     jac[rows, rows] = x[cols]
     jac[rows, cols] = x
     return jac

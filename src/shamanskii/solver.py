@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
@@ -20,7 +21,6 @@ from .linalg import (
     EPS,
     NonFiniteInput,
     SingularMatrix,
-    as_vector,
     lu_factor,
     lu_solve,
     norm2,
@@ -130,6 +130,12 @@ class SolveTrace:
         return self.status is SolveStatus.CONVERGED
 
 
+def _finite(x: np.ndarray, rhs: np.ndarray) -> bool:
+    # A NaN or Inf entry makes the dot product NaN or Inf (Inf * 0 is NaN), so
+    # a finite one settles it; overflow alone sends it to the entrywise test.
+    return math.isfinite(np.dot(x, rhs)) or bool(np.isfinite(x).all() and np.isfinite(rhs).all())
+
+
 def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     """Factor J(x), then run up to ``cfg.m`` updates ``x <- x - solve(J, F(x))``.
 
@@ -159,7 +165,7 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
         x, rhs = x_next, rhs_next
         if inner_record is not None:
             inner_record.append(x)
-        if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
+        if not _finite(x, rhs):
             what = "residual" if np.isfinite(x).all() else "update"
             cause = NonFiniteIterate(f"non-finite {what} at chord step {steps}")
             return x, rhs, steps, SolveStatus.NON_FINITE_ITERATE, cause
@@ -192,10 +198,13 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     Loop until the residual norm drops to ``config.tol``: factor the Jacobian
     at the current outer iterate, run ``config.m`` chord updates reusing the
     factors (each followed by a residual evaluation), then record the new
-    outer iterate and its residual norm.  Every failure mode (singular
+    outer iterate and its residual norm.  Every numerical failure (singular
     Jacobian, domain exit, non-finite values, iteration caps) terminates the
     loop with the corresponding :class:`SolveStatus`; the partial trace is
-    always returned, never thrown away.
+    always returned, never thrown away.  A start point of the wrong length, or
+    a residual or Jacobian that returns the wrong shape, is a programmer error
+    and raises :class:`DimensionMismatch` naming the problem, ``x`` or the
+    callable, and both shapes.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(problem.start, dtype=np.float64)
@@ -203,23 +212,18 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     inner: list[np.ndarray] | None = [] if cfg.record_inner else None
     it_inv = it_tot = 0
 
+    status = cause = None
     try:
         rhs = evaluate_f(problem, x)
     except DomainViolation as exc:
-        return SolveTrace(
-            outer, [float("nan")], 0, 0, SolveStatus.DOMAIN_VIOLATION, inner,
-            exc.with_traceback(None),
-        )
-    res = norm2(rhs)
+        res, status, cause = float("nan"), SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
+    else:
+        res = norm2(rhs)
+        if not _finite(x, rhs):
+            what = "residual at the start point" if np.isfinite(x).all() else "start point"
+            status, cause = SolveStatus.NON_FINITE_ITERATE, NonFiniteIterate(f"non-finite {what}")
     norms = [res]
-    if not (np.isfinite(x).all() and np.isfinite(rhs).all()):
-        what = "residual at the start point" if np.isfinite(x).all() else "start point"
-        return SolveTrace(
-            outer, norms, 0, 0, SolveStatus.NON_FINITE_ITERATE, inner,
-            NonFiniteIterate(f"non-finite {what}"),
-        )
 
-    status = cause = None
     while status is None and res > cfg.tol:
         if it_inv >= cfg.max_outer or it_tot + cfg.m > cfg.total_cap:
             status = SolveStatus.MAX_ITERATIONS
@@ -248,8 +252,7 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     statuses.
     """
     cfg = SolverConfig(m=m)
-    v = as_vector(x)
-    x_new, rhs_new, steps, _, cause = _outer_step(problem, v, evaluate_f(problem, v), cfg)
+    x_new, rhs_new, steps, _, cause = _outer_step(problem, x, evaluate_f(problem, x), cfg)
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:

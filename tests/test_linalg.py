@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import re
@@ -452,6 +453,83 @@ class TestSavedPivots:
         # reuse the freed memory, so a dangling reference would read garbage
         _ = [np.full((n, n), np.nan) for _ in range(8)]
         assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
+
+    def test_replace_leaves_them_behind(self, n):
+        a, b = self.system(n)
+        factors = lu_factor(a)
+        replaced = dataclasses.replace(lu_factor(np.eye(n)), lu=factors.lu, piv=factors.piv)
+        assert replaced._ipiv is None and replaced._lists is None
+        assert lu_solve(replaced, b).tobytes() == lu_solve(factors, b).tobytes()
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_loop_lists_survive_copies(self, n, copier):
+        # the loop keeps its rows and pivots as Python lists; LAPACK sizes do not
+        if n >= NUMPY_LAPACK_MIN_N:
+            assert lu_factor(self.system(n)[0])._lists is None
+        for size in range(n, NUMPY_LAPACK_MIN_N):
+            a, b = self.system(size)
+            factors = lu_factor(a)
+            assert factors._lists == (factors.lu.tolist(), factors.piv.tolist())
+            assert "_lists" not in repr(factors)
+            expected = lu_solve(factors, b)
+            duplicate = copier(factors)
+            assert duplicate._lists == factors._lists
+            assert duplicate._lists[0] is not factors._lists[0]
+            del factors
+            gc.collect()
+            assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
+            hand_built = LUFactors(duplicate.lu, duplicate.piv, size)
+            assert lu_solve(hand_built, b).tobytes() == expected.tobytes()
+
+
+class TestCheapChecks:
+    """The checks made without copies give the outcomes the copying ones did."""
+
+    def test_overflowing_row_sum_is_singular_not_non_finite(self):
+        # finite entries whose row sum overflows: the threshold is inf
+        with pytest.raises(SingularMatrix, match="below threshold inf at column 0"):
+            lu_factor([[1e308, 1e308], [1e308, -1e308]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anywhere_raises(self, n, bad):
+        for i, j in np.ndindex(n, n):
+            a = np.eye(n)
+            a[i, j] = bad
+            with pytest.raises(NonFiniteInput):
+                lu_factor(a)
+
+    def test_non_finite_after_an_overflowing_row(self):
+        with pytest.raises(NonFiniteInput):
+            lu_factor([[1e308, 1e308], [1.0, np.nan]])
+
+    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
+    def test_solve_leaves_b_alone(self, n):
+        rng = np.random.default_rng(n)
+        factors = lu_factor(rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+        b = rng.uniform(-1.0, 1.0, n)
+        kept = b.copy()
+        x = lu_solve(factors, b)
+        x[:] = np.nan
+        assert np.array_equal(b, kept)
+        b.setflags(write=False)
+        assert np.isfinite(lu_solve(factors, b)).all()
+
+    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
+    def test_solve_takes_strided_and_list_rhs(self, n):
+        rng = np.random.default_rng(n)
+        factors = lu_factor(rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+        columns = rng.uniform(-1.0, 1.0, (n, 2))
+        expected = lu_solve(factors, np.ascontiguousarray(columns[:, 1]))
+        assert lu_solve(factors, columns[:, 1]).tobytes() == expected.tobytes()
+        assert lu_solve(factors, columns[:, 1].tolist()).tobytes() == expected.tobytes()
+
+    def test_fortran_ordered_input_factors_the_same(self):
+        n = LAPACK_MIN_N
+        a = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        c_order, f_order = lu_factor(a), lu_factor(np.asfortranarray(a))
+        assert c_order.lu.tobytes() == f_order.lu.tobytes()
+        assert np.array_equal(c_order.piv, f_order.piv)
 
 
 class TestNorm2:

@@ -144,6 +144,17 @@ class TestFdJacobian:
         with pytest.raises(DomainViolation):
             fd_jacobian(registry_get("c"), [1.0, 1.0, 1e-8], h=1e-6)
 
+    def test_residual_may_return_a_list(self):
+        p = registry_get("c")
+        listed = dataclasses.replace(p, residual=lambda x: p.residual(x).tolist())
+        assert fd_jacobian(listed, p.start).tobytes() == fd_jacobian(p, p.start).tobytes()
+        assert check_jacobian(listed) == check_jacobian(p)
+
+    def test_wrong_residual_shape_raises(self):
+        p = dataclasses.replace(registry_get("b"), residual=lambda x: np.zeros(3))
+        with pytest.raises(DimensionMismatch, match=r"residual\(x\) has shape \(3,\)"):
+            fd_jacobian(p, p.start)
+
     def test_all_problems_near_start(self):
         rng = np.random.default_rng(12345)
         for name in registry_names():

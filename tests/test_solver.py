@@ -9,11 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shamanskii
 import shamanskii.solver as solver_mod
-from shamanskii.linalg import NonFiniteInput, SingularMatrix
-from shamanskii.problems import DomainViolation, Problem, registry_get, registry_names
+from shamanskii.linalg import DimensionMismatch, NonFiniteInput, SingularMatrix
+from shamanskii.problems import (
+    DomainViolation,
+    Problem,
+    evaluate_f,
+    evaluate_jacobian,
+    registry_get,
+    registry_names,
+)
 from shamanskii.solver import (
     TOL_DEFAULT,
     NonFiniteIterate,
@@ -495,3 +504,138 @@ class TestSolverConfig:
 
     def test_default_tolerance(self):
         assert TOL_DEFAULT == pytest.approx(2.220446049250313e-15)
+
+
+class TestWrongShape:
+    """A callable of the wrong shape is a programmer error: it raises, naming it."""
+
+    @staticmethod
+    def plane(residual=None, jacobian=None):
+        # F(x) = x - (1, 2), a 2-D system that Newton solves in one step
+        return Problem(
+            name="plane",
+            dim=2,
+            residual=residual or (lambda x: x - np.array([1.0, 2.0])),
+            jacobian=jacobian or (lambda x: np.eye(2)),
+            start=np.zeros(2),
+        )
+
+    def test_residual(self):
+        p = self.plane(residual=lambda x: np.zeros(3))
+        message = r"^problem 'plane': residual\(x\) has shape \(3,\), expected \(2,\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            solve(p)
+        with pytest.raises(DimensionMismatch, match=message):
+            outer_step(p, p.start, 1)
+
+    def test_jacobian(self):
+        p = self.plane(jacobian=lambda x: np.eye(3))
+        message = r"^problem 'plane': jacobian\(x\) has shape \(3, 3\), expected \(2, 2\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            solve(p)
+        with pytest.raises(DimensionMismatch, match=message):
+            evaluate_jacobian(p, p.start)
+
+    def test_start_point(self):
+        p = dataclasses.replace(self.plane(), start=np.zeros(3))
+        with pytest.raises(DimensionMismatch, match=r"x has shape \(3,\), expected \(2,\)"):
+            solve(p)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("wrong", [np.array([]), np.zeros(2), np.zeros((1, 1))])
+    def test_later_residual_raises(self, k, wrong):
+        # an empty residual has norm 0, which must not pass for convergence
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(p, residual=fault_at_call(p.residual, k, lambda x: wrong))
+        with pytest.raises(DimensionMismatch, match=r"residual\(x\) has shape"):
+            solve(faulty, SolverConfig(m=2))
+
+    def test_later_jacobian_raises(self):
+        p = multiple_root_problem()
+        faulty = dataclasses.replace(
+            p, jacobian=fault_at_call(p.jacobian, 2, lambda x: np.eye(2))
+        )
+        with pytest.raises(DimensionMismatch, match=r"jacobian\(x\) has shape \(2, 2\)"):
+            solve(faulty)
+
+    def test_lists_are_fine(self):
+        expected = solve(registry_get("c"), SolverConfig(m=2))
+        p = dataclasses.replace(
+            registry_get("c"),
+            residual=lambda x, f=registry_get("c").residual: f(x).tolist(),
+            jacobian=lambda x, j=registry_get("c").jacobian: j(x).tolist(),
+        )
+        trace = solve(p, SolverConfig(m=2))
+        assert trace.converged
+        assert (trace.it_inv, trace.it_tot) == (expected.it_inv, expected.it_tot)
+        assert trace.x.tobytes() == expected.x.tobytes()
+        assert isinstance(evaluate_f(p, p.start), np.ndarray)
+
+
+class TestChordStepFiniteness:
+    def test_overflowing_sums_of_finite_entries_are_not_flagged(self):
+        # J = 2I halves the distance to c each step, so the iterates stay
+        # finite while the sums of x, of F(x) and of their products overflow
+        c = np.full(2, 1.6e308)
+        p = Problem("far", 2, lambda x: x - c, lambda x: 2.0 * np.eye(2), np.zeros(2))
+        trace = solve(p, SolverConfig(max_outer=5, record_inner=True))
+        assert trace.status is SolveStatus.MAX_ITERATIONS
+        assert trace.cause is None
+        assert all(np.isfinite(x).all() for x in trace.outer_iterates)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(trace.outer_iterates[2].sum())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_one_bad_entry_is_flagged(self, bad, index):
+        def residual(x):
+            f = x - 1.0
+            if x[0] != 0.0:
+                f[index] = bad
+            return f
+
+        p = Problem("bad", 2, residual, lambda x: np.eye(2), np.zeros(2))
+        trace = solve(p)
+        assert trace.status is SolveStatus.NON_FINITE_ITERATE
+        assert str(trace.cause) == "non-finite residual at chord step 1"
+
+
+# Roots of a, b, c and e.  Those of a and c have no closed form here and
+# were pinned from converged runs.
+ROOTS = {
+    "a": [(1.0430857584067033, 0.29354985405107353)],
+    "b": [(sx * 0.5, sy * np.sqrt(0.75)) for sx in (1, -1) for sy in (1, -1)],
+    "c": [(0.7530891649796748, 0.7530891649796748, 1.4572405053860489)],
+    "e": [(1.0, 1.0), (1.0, -1.0)],
+}
+ABORTED = (SolveStatus.SINGULAR_JACOBIAN, SolveStatus.NON_FINITE_ITERATE,
+           SolveStatus.DOMAIN_VIOLATION)
+
+
+@st.composite
+def runs(draw):
+    """(problem, config): a start within 10**k of a root, k in -8..1, m in 1..4."""
+    name = draw(st.sampled_from(sorted(ROOTS)))
+    root = np.array(draw(st.sampled_from(ROOTS[name])))
+    offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=root.size, max_size=root.size))
+    start = root + 10.0 ** draw(st.integers(-8, 1)) * np.array(offset)
+    config = SolverConfig(m=draw(st.integers(1, 4)), inner_early_exit=draw(st.booleans()),
+                          max_outer=draw(st.sampled_from([3, 100])))
+    return dataclasses.replace(registry_get(name), start=start), config
+
+
+class TestSolveProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(runs())
+    def test_trace_invariants(self, run):
+        problem, config = run
+        trace = solve(problem, config)  # a numerical failure never raises
+        assert isinstance(trace.status, SolveStatus)
+        assert len(trace.outer_iterates) == len(trace.residual_norms) == trace.it_inv + 1
+        if config.inner_early_exit or trace.status in ABORTED:
+            assert trace.it_tot <= config.m * trace.it_inv
+        else:
+            assert trace.it_tot == config.m * trace.it_inv
+        assert (trace.cause is not None) == (trace.status in ABORTED)
+        if trace.converged:
+            assert trace.final_residual <= config.tol
