@@ -7,6 +7,7 @@ hand-coded derivatives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +37,10 @@ class DomainViolation(ValueError):
         self.index = index
         self.description = description
         super().__init__(f"problem {problem_name!r}: x[{index}] {description}")
+
+    def __reduce__(self):
+        # args holds only the message; copies and pickles need all three
+        return type(self), (self.problem_name, self.index, self.description)
 
 
 class UnknownProblem(LookupError):
@@ -222,7 +227,8 @@ class JacobianCheck:
     """Worst analytic-vs-central-difference deviation over a set of points.
 
     ``max_rel_error`` is max|J_analytic - J_fd| scaled by 1 + norm_inf of the
-    analytic Jacobian; ``worst_entry`` locates the offender.
+    analytic Jacobian, or NaN if any deviation is NaN; ``worst_entry``
+    locates the offender, the first NaN entry in that case.
     """
 
     problem_name: str
@@ -263,7 +269,7 @@ def check_jacobian(
         diff = np.abs(analytic - approx)
         scale = 1.0 + float(np.abs(analytic).sum(axis=1).max())
         rel = float(diff.max()) / scale
-        if rel > worst:
+        if rel > worst or (math.isnan(rel) and not math.isnan(worst)):
             worst = rel
             i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
             worst_entry = (int(i), int(j))

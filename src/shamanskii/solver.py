@@ -9,7 +9,6 @@ sweep turns into the classic chord method.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -174,24 +173,14 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     return x, rhs, steps, None, None
 
 
-def _quiet(func):
-    """``func`` with numpy's floating-point warnings off.
-
-    A run records non-finite values in its status and cause; numpy's warnings
-    about them would only reach the caller's stderr.
-    """
-
-    @functools.wraps(func)
-    def quiet(*args, **kwargs):
-        # a fresh errstate per call: numpy 1.x saves the caller's settings on
-        # the instance, so threads sharing one would restore each other's
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return func(*args, **kwargs)
-
-    return quiet
+# A run records non-finite values in its status and cause; numpy's warnings
+# about them would only reach the caller's stderr.  One shared instance is
+# safe as a decorator since numpy 2.0: each call sets and resets its own
+# context-local state, so threads do not restore each other's settings.
+_NO_FP_WARNINGS = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-@_quiet
+@_NO_FP_WARNINGS
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     """Drive the frozen-Jacobian iteration from the problem's start point.
 
@@ -242,7 +231,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     )
 
 
-@_quiet
+@_NO_FP_WARNINGS
 def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     """One factorization followed by an ``m``-step chord sweep from ``x``.
 

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
+import itertools
+import pickle
 
 import numpy as np
 import pytest
 
+import shamanskii.cli as cli_mod
 from shamanskii.linalg import DimensionMismatch
 from shamanskii.problems import (
     DomainViolation,
@@ -32,6 +36,19 @@ def linear_problem(a):
         jacobian=lambda x: a.copy(),
         start=np.zeros(a.shape[0]),
     )
+
+
+def nan_at_calls(problem, bad_calls):
+    """``problem`` whose Jacobian has a NaN at entry (1, 0) on the given 1-based calls."""
+    calls = itertools.count(1)
+
+    def jacobian(x):
+        jac = np.array(problem.jacobian(x))
+        if next(calls) in bad_calls:
+            jac[1, 0] = np.nan
+        return jac
+
+    return dataclasses.replace(problem, jacobian=jacobian)
 
 
 class TestRegistry:
@@ -122,6 +139,16 @@ class TestDomain:
             evaluate_jacobian(registry_get("c"), [1.0, 1.0, x3])
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize(
+        "copier", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))]
+    )
+    def test_copies_keep_every_field(self, copier):
+        exc = DomainViolation("c", 1, "must be nonzero (reciprocal term)")
+        dup = copier(exc)
+        assert type(dup) is DomainViolation
+        assert (dup.problem_name, dup.index, dup.description) == ("c", 1, exc.description)
+        assert str(dup) == str(exc)
+
 
 class TestFdJacobian:
     def test_exact_on_linear_map(self):
@@ -205,3 +232,35 @@ class TestCheckJacobian:
         result = check_jacobian(corrupted)
         assert result.max_rel_error > 1e-5
         assert result.worst_entry == (0, 1)
+
+    @pytest.mark.parametrize(
+        "bad_calls", [range(1, 12), [1], [11]], ids=["every_point", "first", "last"]
+    )
+    def test_nan_entry_is_caught(self, bad_calls):
+        # the analytic Jacobian is evaluated once per point: the start, then 10 more
+        result = check_jacobian(nan_at_calls(registry_get("b"), bad_calls))
+        assert np.isnan(result.max_rel_error)
+        assert result.worst_entry == (1, 0)
+        assert result.points_checked == 11
+
+    def test_nan_entry_fails_the_cli(self, capsys, monkeypatch):
+        corrupted = nan_at_calls(registry_get("b"), range(1, 12))
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: ["b"])
+        monkeypatch.setattr(cli_mod, "registry_get", lambda name: corrupted)
+        assert cli_mod.main(["check-jacobians"]) == 2
+        assert capsys.readouterr().out == (
+            "problem b: FAIL, max relative error nan at entry (1, 0)\n"
+        )
+
+    def test_points_outside_the_domain_are_skipped(self, capsys, monkeypatch):
+        # x3 = 0.05 +- 0.1 leaves the base of c's real power x3**x1 nonpositive
+        near_edge = dataclasses.replace(registry_get("c"), start=np.array([1.0, 1.0, 0.05]))
+        result = check_jacobian(near_edge)
+        assert (result.points_checked, result.points_skipped) == (9, 2)
+        assert result.max_rel_error < 1e-5
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: ["c"])
+        monkeypatch.setattr(cli_mod, "registry_get", lambda name: near_edge)
+        assert cli_mod.main(["check-jacobians"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("problem c: ok, max relative error ")
+        assert out.endswith(" over 9 points (2 point(s) skipped: outside domain)\n")

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -244,6 +247,41 @@ class TestFloatingPointWarnings:
             with pytest.raises(NonFiniteInput):
                 outer_step(self.FAR, self.FAR.start, 1)
 
+    def test_threads_keep_their_own_settings(self):
+        # solve's errstate is one shared instance; each thread sets its own
+        # mode first, so a call that restored another thread's would show
+        modes = ["warn", "raise", "print", "ignore", "log", "call"]
+        results, failures = {}, []
+
+        def work(mode):
+            try:
+                np.seterr(over=mode)
+                before = np.geterr()
+                statuses = {solve(self.FAR).status for _ in range(500)}
+                results[mode] = (before, np.geterr(), statuses)
+            except Exception as exc:  # reported below with the mode that hit it
+                failures.append((mode, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                threads = [threading.Thread(target=work, args=(mode,)) for mode in modes]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        assert sorted(results) == sorted(modes)
+        for mode, (before, after, statuses) in results.items():
+            assert before["over"] == mode
+            assert after == before, mode
+            assert statuses == {SolveStatus.NON_FINITE_ITERATE}
+
 
 class TestFailureCause:
     def test_none_when_converged(self):
@@ -255,6 +293,17 @@ class TestFailureCause:
         assert isinstance(trace.cause, DomainViolation)
         assert trace.cause.index == 1
         assert trace.cause.__traceback__ is None
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_domain_violation_trace_copies(self, copier):
+        # a trace that can be pickled can come back from a process pool
+        trace = solve(dataclasses.replace(registry_get("c"), start=np.array([1.0, 0.0, 2.0])))
+        dup = copier(trace)
+        assert dup.status is SolveStatus.DOMAIN_VIOLATION
+        assert type(dup.cause) is DomainViolation
+        assert (dup.cause.problem_name, dup.cause.index) == ("c", 1)
+        assert str(dup.cause) == str(trace.cause)
+        assert np.array_equal(dup.x, trace.x)
 
     @pytest.mark.parametrize("fault", sorted(JACOBIAN_FAULTS))
     def test_jacobian_fault(self, fault):
