@@ -155,10 +155,9 @@ def cmd_check_jacobians(args) -> int:
         else:
             failed = True
             i, j = result.worst_entry
-            print(
-                f"problem {name}: FAIL, max relative error {result.max_rel_error:.3e} "
-                f"at entry ({i}, {j}){note}"
-            )
+            detail = f"max relative error {result.max_rel_error:.3e} at entry ({i}, {j})" \
+                if result.points_checked else "no point checked"
+            print(f"problem {name}: FAIL, {detail}{note}")
     return EXIT_FAILURE if failed else EXIT_OK
 
 

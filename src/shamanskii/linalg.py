@@ -16,19 +16,21 @@ without costing memory:
   two-term dot product at n = 3 went to BLAS, which may fuse it into one
   FMA, so an n = 3 solution can differ from it in the last bit.
 * ``NUMPY_LAPACK_MIN_N <= n < LAPACK_MIN_N`` (problem d, n = 31):
-  ``dgetrf``/``dgetrs``/``dlange`` from the LAPACK numpy itself links,
-  called through ctypes.  That library is already mapped once numpy is
-  imported, so it costs no memory.  Where numpy does not export those
-  routines, this band uses the loop.
-* ``n >= LAPACK_MIN_N``: the same routines from scipy's LAPACK, whose
-  ``dgetrf`` is faster at large n than numpy's copy.  Loading it maps a
-  second BLAS, so only the systems that need it pay for it.
+  ``dgetrf``/``dgetrs`` from the LAPACK numpy itself links, called through
+  ctypes.  That library is already mapped once numpy is imported, so it
+  costs no memory.  Where numpy does not export those routines, this band
+  uses the loop.
+* ``n >= LAPACK_MIN_N``: the same routines and ``dlange`` from scipy's
+  LAPACK, whose ``dgetrf`` is faster at large n than numpy's copy.  Loading
+  it maps a second BLAS, so only the systems that need it pay for it.
 
 Every path produces the same packed factors and keeps the same checks:
 shapes, non-finite input, the singularity threshold and an unmodified input.
 The checks live at the public entry points, which copy an operand only where
-a LAPACK kernel writes to it.  ``solve`` checks its start point once, at its
-boundary, then makes one finiteness test per chord step.
+a LAPACK kernel writes to it.  Each band scans for NaN and Inf entries only
+when ``norm_inf(A)`` is not finite; finite entries whose row sum overflows
+give an infinite threshold, which no pivot meets.  ``solve`` checks its start
+point once, at its boundary, then makes one finiteness test per chord step.
 """
 from __future__ import annotations
 
@@ -86,11 +88,12 @@ def norm2(v) -> float:
 class _Lapack(NamedTuple):
     """One LAPACK's kernels, on Fortran-ordered float64 arrays.
 
-    ``norm_inf(a)`` is the infinity norm of ``a``.  ``getrf(a)`` factors
-    ``a`` in place and returns ``(lu, ipiv)`` with LAPACK's 1-based
-    interchanges.  ``getrs(lu, ipiv, b)`` overwrites ``b`` with the solution
-    and returns it; it never writes to ``ipiv``, so threads may share one set
-    of factors.
+    ``norm_inf(a)`` is the infinity norm of ``a``, summed as ``dlange`` sums
+    it; it is NaN or Inf, without a warning, when an entry is or a row sum
+    overflows.  ``getrf(a)`` factors ``a`` in place and returns ``(lu, ipiv)``
+    with LAPACK's 1-based interchanges.  ``getrs(lu, ipiv, b)`` overwrites
+    ``b`` with the solution and returns it; it never writes to ``ipiv``, so
+    threads may share one set of factors.
     """
 
     norm_inf: Callable[[np.ndarray], float]
@@ -145,7 +148,6 @@ def _numpy_lapack() -> _Lapack | None:
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         dgetrf, dgetrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
-        dlange = lib.scipy_dlange_64_
     except (OSError, AttributeError):
         return None
     # The trailing size_t is the hidden length of the Fortran string argument.
@@ -153,17 +155,13 @@ def _numpy_lapack() -> _Lapack | None:
     dgetrs.argtypes = [
         ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, ctypes.c_size_t
     ]
-    dlange.argtypes = [ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, ctypes.c_size_t]
     dgetrf.restype = dgetrs.restype = None
-    dlange.restype = ctypes.c_double
+
+    # scipy's band keeps dlange: at n = 301 this n x n temporary costs time
+    norm_inf = np.errstate(over="ignore")(lambda a: np.abs(a).sum(axis=1).max())
 
     # Every array whose address is passed stays bound to a local name until
     # the call returns; an unnamed temporary could be freed before it.
-    def norm_inf(a):
-        n = ctypes.c_int64(a.shape[0])
-        work = np.empty(a.shape[0])
-        return dlange(b"I", n, n, a.ctypes.data, n, work.ctypes.data, 1)
-
     def getrf(a):
         n = ctypes.c_int64(a.shape[0])
         ipiv = np.empty(a.shape[0], dtype=np.int64)
@@ -172,9 +170,6 @@ def _numpy_lapack() -> _Lapack | None:
 
     def getrs(lu, ipiv, b):
         n = ctypes.c_int64(b.shape[0])
-        # getrs reads raw memory: pin the layout of hand-built factors
-        lu = np.asfortranarray(lu, dtype=np.float64)
-        ipiv = np.ascontiguousarray(ipiv, dtype=np.int64)
         dgetrs(
             b"N", n, ctypes.c_int64(1), lu.ctypes.data, n, ipiv.ctypes.data,
             b.ctypes.data, n, ctypes.c_int64(), 1,
@@ -253,11 +248,12 @@ def lu_factor(matrix) -> LUFactors:
     ipiv = lists = None
     if lapack is not None:
         # getrf factors in place, so it gets a copy in its Fortran order (a block
-        # copy of a Fortran-ordered input); dlange spares the threshold a temporary
+        # copy of a Fortran-ordered input)
         a = np.array(a, order="F")
-        if not np.isfinite(a).all():
+        norm = lapack.norm_inf(a)
+        if not math.isfinite(norm) and not np.isfinite(a).all():
             raise NonFiniteInput("matrix contains NaN or Inf entries")
-        threshold = n * EPS * lapack.norm_inf(a)
+        threshold = n * EPS * norm
         a, ipiv = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
@@ -324,10 +320,12 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     lapack = _lapack_for(n)
     if lapack is not None:
-        ipiv = factors._ipiv
+        lu, ipiv = factors.lu, factors._ipiv
         if ipiv is None:
+            # hand-built factors: getrs reads raw memory, so pin their layout
+            lu = np.asfortranarray(lu, dtype=np.float64)
             ipiv = np.add(factors.piv, 1, dtype=np.int64)
-        return lapack.getrs(factors.lu, ipiv, np.array(x))
+        return lapack.getrs(lu, ipiv, np.array(x))
     lu, piv = factors._lists or (factors.lu.tolist(), factors.piv.tolist())
     xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the

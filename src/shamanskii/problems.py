@@ -228,7 +228,8 @@ class JacobianCheck:
 
     ``max_rel_error`` is max|J_analytic - J_fd| scaled by 1 + norm_inf of the
     analytic Jacobian, or NaN if any deviation is NaN; ``worst_entry``
-    locates the offender, the first NaN entry in that case.
+    locates the offender, the first NaN entry in that case.  With no point
+    checked, ``max_rel_error`` is NaN too, and ``worst_entry`` is ``(0, 0)``.
     """
 
     problem_name: str
@@ -255,7 +256,7 @@ def check_jacobian(
     candidates = [problem.start]
     for _ in range(points):
         candidates.append(problem.start + rng.uniform(-spread, spread, problem.dim))
-    worst = 0.0
+    worst = math.nan  # until a point is checked
     worst_entry = (0, 0)
     checked = skipped = 0
     for x in candidates:
@@ -269,7 +270,7 @@ def check_jacobian(
         diff = np.abs(analytic - approx)
         scale = 1.0 + float(np.abs(analytic).sum(axis=1).max())
         rel = float(diff.max()) / scale
-        if rel > worst or (math.isnan(rel) and not math.isnan(worst)):
+        if checked == 1 or rel > worst or (math.isnan(rel) and not math.isnan(worst)):
             worst = rel
             i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
             worst_entry = (int(i), int(j))

@@ -82,8 +82,8 @@ class SolverConfig:
     def __post_init__(self):
         if not _is_positive_int(self.m):
             raise ValueError("m must be a positive integer")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be a finite positive number")
         if not _is_positive_int(self.max_outer):
             raise ValueError("max_outer must be a positive integer")
         if self.max_total is not None and not _is_positive_int(self.max_total):

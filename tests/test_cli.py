@@ -78,6 +78,14 @@ class TestRun:
         assert code == 1
         assert "positive" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_non_finite_tol(self, capsys, tol):
+        # an infinite tolerance would report the start point as converged
+        code, out, err = run_cli(capsys, "run", "--problem", "e", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tol must be a finite positive number" in err
+
 
 class TestSuite:
     def test_csv_default_grid(self, capsys):

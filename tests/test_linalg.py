@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,15 @@ class TestDispatch:
         lu_solve(lu_factor(np.eye(n)), np.ones(n))
         assert calls == [n, n]
 
+    def test_numpy_lapack_found_where_numpy_bundles_openblas(self):
+        # without it n = 31 would fall back to the loop, 20-30x slower, with
+        # every output unchanged
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        ilp64 = "USE64BITINT" in lapack.get("openblas configuration", "")
+        if lapack.get("name") != "scipy-openblas" or not ilp64 or sys.platform == "win32":
+            pytest.skip("numpy does not bundle an ILP64 scipy-openblas here")
+        assert linalg._numpy_lapack() is not None
+
     def test_loop_when_numpy_has_no_lapack(self, monkeypatch, capsys):
         def suite_outputs():
             outputs = []
@@ -460,6 +470,14 @@ class TestSavedPivots:
         _ = [np.full((n, n), np.nan) for _ in range(8)]
         assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
 
+    def test_hand_built_c_order_and_int32_pivots_solve(self, n):
+        # solves normalise hand-built factors, which LAPACK reads as raw memory
+        a, b = self.system(n)
+        factors = lu_factor(a)
+        lu = np.ascontiguousarray(factors.lu)
+        hand_built = LUFactors(lu, factors.piv.astype(np.int32), n)
+        assert lu_solve(hand_built, b).tobytes() == lu_solve(factors, b).tobytes()
+
     def test_replace_leaves_them_behind(self, n):
         a, b = self.system(n)
         factors = lu_factor(a)
@@ -496,7 +514,7 @@ class TestCheapChecks:
         with pytest.raises(SingularMatrix, match="below threshold inf at column 0"):
             lu_factor([[1e308, 1e308], [1e308, -1e308]])
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_anywhere_raises(self, n, bad):
         for i, j in np.ndindex(n, n):
@@ -508,6 +526,26 @@ class TestCheapChecks:
     def test_non_finite_after_an_overflowing_row(self):
         with pytest.raises(NonFiniteInput):
             lu_factor([[1e308, 1e308], [1.0, np.nan]])
+
+    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_lapack_overflowing_row_sum_is_singular(self, n, row):
+        # finite entries, so only the row sum says the threshold is inf
+        a = np.eye(n)
+        a[row] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="below threshold inf at column 0$"):
+                lu_factor(a)
+
+    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lapack_non_finite_after_an_overflowing_row(self, n, bad):
+        a = np.eye(n)
+        a[0] = 1e308
+        a[n - 1, n - 1] = bad
+        with pytest.raises(NonFiniteInput):
+            lu_factor(a)
 
     @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
     def test_solve_leaves_b_alone(self, n):

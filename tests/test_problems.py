@@ -252,6 +252,25 @@ class TestCheckJacobian:
             "problem b: FAIL, max relative error nan at entry (1, 0)\n"
         )
 
+    @staticmethod
+    def outside_everywhere():
+        # x3 = -1 +- 0.1 puts every point outside c's domain
+        return dataclasses.replace(registry_get("c"), start=np.array([1.0, 1.0, -1.0]))
+
+    def test_no_point_checked_is_nan(self):
+        result = check_jacobian(self.outside_everywhere())
+        assert (result.points_checked, result.points_skipped) == (0, 11)
+        assert np.isnan(result.max_rel_error)
+
+    def test_no_point_checked_fails_the_cli(self, capsys, monkeypatch):
+        outside = self.outside_everywhere()
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: ["c"])
+        monkeypatch.setattr(cli_mod, "registry_get", lambda name: outside)
+        assert cli_mod.main(["check-jacobians"]) == 2
+        assert capsys.readouterr().out == (
+            "problem c: FAIL, no point checked (11 point(s) skipped: outside domain)\n"
+        )
+
     def test_points_outside_the_domain_are_skipped(self, capsys, monkeypatch):
         # x3 = 0.05 +- 0.1 leaves the base of c's real power x3**x1 nonpositive
         near_edge = dataclasses.replace(registry_get("c"), start=np.array([1.0, 1.0, 0.05]))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -541,6 +542,8 @@ class TestSolverConfig:
             {"max_outer": True},
             {"max_total": 2.5},
             {"max_total": True},
+            {"tol": math.inf},
+            {"tol": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):
