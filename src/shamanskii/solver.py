@@ -8,22 +8,14 @@ sweep turns into the classic chord method.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import (
-    EPS,
-    NonFiniteInput,
-    SingularMatrix,
-    lu_factor,
-    lu_solve,
-    norm2,
-)
+from .linalg import EPS, NonFiniteInput, SingularMatrix, lu_factor, lu_solve, norm2
 from .problems import DomainViolation, Problem, evaluate_f, evaluate_jacobian
 
 __all__ = [
@@ -54,9 +46,9 @@ class NonFiniteIterate(ArithmeticError):
     """An update or residual evaluation produced NaN or Inf."""
 
 
-def _is_positive_int(value) -> bool:
+def _is_positive(value, kind=Integral) -> bool:
     # bool is an Integral too, but SolverConfig(m=True) is a caller's mistake
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+    return isinstance(value, kind) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -80,13 +72,16 @@ class SolverConfig:
     record_inner: bool = False
 
     def __post_init__(self):
-        if not _is_positive_int(self.m):
+        if not _is_positive(self.m):
             raise ValueError("m must be a positive integer")
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < math.inf:
+        if not (_is_positive(self.tol, Real) and self.tol < math.inf):
             raise ValueError("tol must be a finite positive number")
-        if not _is_positive_int(self.max_outer):
+        for flag in ("inner_early_exit", "record_inner"):
+            if not isinstance(getattr(self, flag), (bool, np.bool_)):
+                raise ValueError(f"{flag} must be a bool")
+        if not _is_positive(self.max_outer):
             raise ValueError("max_outer must be a positive integer")
-        if self.max_total is not None and not _is_positive_int(self.max_total):
+        if self.max_total is not None and not _is_positive(self.max_total):
             raise ValueError("max_total must be a positive integer when given")
 
     @property
@@ -101,10 +96,11 @@ class SolveTrace:
     ``outer_iterates`` holds x(0)..x(it_inv), one entry per completed outer
     step plus the start point; ``residual_norms`` aligns with it.  ``it_inv``
     counts Jacobian factorizations, ``it_tot`` chord updates.  Failures land
-    in ``status`` with the partial history preserved; ``cause`` holds the
-    exception behind a singular Jacobian, a domain exit, a non-finite
-    Jacobian, or a :class:`NonFiniteIterate` saying which value went
-    non-finite and where, without its traceback.
+    in ``status`` with the partial history preserved.  ``cause`` is the
+    exception behind a failure, without its traceback, and sets the status:
+    SingularMatrix -> SingularJacobian, DomainViolation -> DomainViolation,
+    NonFiniteInput (a non-finite J) or NonFiniteIterate (which value went
+    non-finite, and where) -> NonFiniteIterate.  MaxIterations has no cause.
     """
 
     outer_iterates: list[np.ndarray]
@@ -129,48 +125,60 @@ class SolveTrace:
         return self.status is SolveStatus.CONVERGED
 
 
-def _finite(x: np.ndarray, rhs: np.ndarray) -> bool:
+def _residual(problem, x, step):
+    """``(F(x), cause)`` at chord step ``step``, where step 0 is the start point.
+
+    A domain exit gives ``(None, exc)``; a non-finite ``x`` or F(x) gives a
+    :class:`NonFiniteIterate` naming which one and where.
+    """
+    try:
+        rhs = evaluate_f(problem, x)
+    except DomainViolation as exc:
+        return None, exc.with_traceback(None)
     # A NaN or Inf entry makes the dot product NaN or Inf (Inf * 0 is NaN), so
     # a finite one settles it; overflow alone sends it to the entrywise test.
-    return math.isfinite(np.dot(x, rhs)) or bool(np.isfinite(x).all() and np.isfinite(rhs).all())
+    if math.isfinite(np.dot(x, rhs)) or (np.isfinite(x).all() and np.isfinite(rhs).all()):
+        return rhs, None
+    if np.isfinite(x).all():
+        what = f"residual at chord step {step}" if step else "residual at the start point"
+    else:
+        what = f"update at chord step {step}" if step else "start point"
+    return rhs, NonFiniteIterate(f"non-finite {what}")
 
 
 def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     """Factor J(x), then run up to ``cfg.m`` updates ``x <- x - solve(J, F(x))``.
 
-    ``rhs`` must equal F(x) on entry.  Returns ``(x, rhs, steps, status,
-    cause)`` and never raises on a numerical failure.  ``steps`` is None when
-    the factorization failed, else the number of updates made; ``x``/``rhs``
-    hold the last state whose residual evaluation returned.  ``status`` is
-    None unless the step failed; ``cause`` is the exception behind it, if any,
-    stripped of its traceback so that no frame outlives the call.
+    ``rhs`` must equal F(x) on entry.  Returns ``(x, rhs, steps, cause)`` and
+    never raises on a numerical failure.  ``steps`` is None when the
+    factorization failed, else the number of updates made; ``x``/``rhs`` hold
+    the last state whose residual evaluation returned.  ``cause`` is the
+    exception behind a failure, if any, stripped of its traceback so that no
+    frame outlives the call.
     """
     try:
         factors = lu_factor(evaluate_jacobian(problem, x))
-    except SingularMatrix as exc:
-        return x, rhs, None, SolveStatus.SINGULAR_JACOBIAN, exc.with_traceback(None)
-    except DomainViolation as exc:
-        return x, rhs, None, SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
-    except NonFiniteInput as exc:
-        return x, rhs, None, SolveStatus.NON_FINITE_ITERATE, exc.with_traceback(None)
-    steps = 0
-    for _ in range(cfg.m):
+    except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
+        return x, rhs, None, exc.with_traceback(None)
+    for steps in range(1, cfg.m + 1):
         x_next = x - lu_solve(factors, rhs)
-        try:
-            rhs_next = evaluate_f(problem, x_next)
-        except DomainViolation as exc:
-            return x, rhs, steps, SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
-        steps += 1
+        rhs_next, cause = _residual(problem, x_next, steps)
+        if rhs_next is None:
+            return x, rhs, steps - 1, cause
         x, rhs = x_next, rhs_next
         if inner_record is not None:
             inner_record.append(x)
-        if not _finite(x, rhs):
-            what = "residual" if np.isfinite(x).all() else "update"
-            cause = NonFiniteIterate(f"non-finite {what} at chord step {steps}")
-            return x, rhs, steps, SolveStatus.NON_FINITE_ITERATE, cause
-        if cfg.inner_early_exit and norm2(rhs) <= cfg.tol:
+        if cause is not None or (cfg.inner_early_exit and norm2(rhs) <= cfg.tol):
             break
-    return x, rhs, steps, None, None
+    return x, rhs, steps, cause
+
+
+# A cause's status; isinstance lets a problem's own DomainViolation subclass map.
+_STATUS_OF_CAUSE = (
+    (SingularMatrix, SolveStatus.SINGULAR_JACOBIAN),
+    (DomainViolation, SolveStatus.DOMAIN_VIOLATION),
+    ((NonFiniteInput, NonFiniteIterate), SolveStatus.NON_FINITE_ITERATE),
+)
 
 
 # A run records non-finite values in its status and cause; numpy's warnings
@@ -187,13 +195,12 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     Loop until the residual norm drops to ``config.tol``: factor the Jacobian
     at the current outer iterate, run ``config.m`` chord updates reusing the
     factors (each followed by a residual evaluation), then record the new
-    outer iterate and its residual norm.  Every numerical failure (singular
-    Jacobian, domain exit, non-finite values, iteration caps) terminates the
-    loop with the corresponding :class:`SolveStatus`; the partial trace is
-    always returned, never thrown away.  A start point of the wrong length, or
-    a residual or Jacobian that returns the wrong shape, is a programmer error
-    and raises :class:`DimensionMismatch` naming the problem, ``x`` or the
-    callable, and both shapes.
+    outer iterate and its residual norm.  A numerical failure or an iteration
+    cap ends the loop with the status :class:`SolveTrace` describes; the
+    partial trace is always returned, never thrown away.  A start point of the
+    wrong length, or a residual or Jacobian that returns the wrong shape, is a
+    programmer error and raises :class:`DimensionMismatch` naming the problem,
+    ``x`` or the callable, and both shapes.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(problem.start, dtype=np.float64)
@@ -201,23 +208,13 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     inner: list[np.ndarray] | None = [] if cfg.record_inner else None
     it_inv = it_tot = 0
 
-    status = cause = None
-    try:
-        rhs = evaluate_f(problem, x)
-    except DomainViolation as exc:
-        res, status, cause = float("nan"), SolveStatus.DOMAIN_VIOLATION, exc.with_traceback(None)
-    else:
-        res = norm2(rhs)
-        if not _finite(x, rhs):
-            what = "residual at the start point" if np.isfinite(x).all() else "start point"
-            status, cause = SolveStatus.NON_FINITE_ITERATE, NonFiniteIterate(f"non-finite {what}")
+    rhs, cause = _residual(problem, x, 0)
+    res = float("nan") if rhs is None else norm2(rhs)
     norms = [res]
 
-    while status is None and res > cfg.tol:
-        if it_inv >= cfg.max_outer or it_tot + cfg.m > cfg.total_cap:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        x, rhs, steps, status, cause = _outer_step(problem, x, rhs, cfg, inner)
+    while (cause is None and res > cfg.tol and it_inv < cfg.max_outer
+           and it_tot + cfg.m <= cfg.total_cap):
+        x, rhs, steps, cause = _outer_step(problem, x, rhs, cfg, inner)
         if steps is None:
             break
         it_inv += 1
@@ -226,9 +223,11 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
         outer.append(x)
         norms.append(res)
 
-    return SolveTrace(
-        outer, norms, it_inv, it_tot, status or SolveStatus.CONVERGED, inner, cause
-    )
+    if cause is not None:
+        status = next(status for kind, status in _STATUS_OF_CAUSE if isinstance(cause, kind))
+    else:
+        status = SolveStatus.MAX_ITERATIONS if res > cfg.tol else SolveStatus.CONVERGED
+    return SolveTrace(outer, norms, it_inv, it_tot, status, inner, cause)
 
 
 @_NO_FP_WARNINGS
@@ -241,7 +240,7 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     statuses.
     """
     cfg = SolverConfig(m=m)
-    x_new, rhs_new, steps, _, cause = _outer_step(problem, x, evaluate_f(problem, x), cfg)
+    x_new, rhs_new, steps, cause = _outer_step(problem, x, evaluate_f(problem, x), cfg)
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:
@@ -252,4 +251,4 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
 def newton_solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     """:func:`solve` with the update count pinned to one per factorization."""
     cfg = config if config is not None else SolverConfig()
-    return solve(problem, dataclasses.replace(cfg, m=1))
+    return solve(problem, replace(cfg, m=1))

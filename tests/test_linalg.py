@@ -195,7 +195,9 @@ class TestLuSolve:
         with pytest.raises(DimensionMismatch):
             lu_solve(factors, [1.0, 2.0])
 
-    @pytest.mark.parametrize("b", [np.ones((3, 1)), np.ones((1, 3)), [], 1.0], ids=repr)
+    @pytest.mark.parametrize(
+        "b", [np.ones((3, 1)), np.ones((1, 3)), [], 1.0], ids=["column", "row", "empty", "scalar"]
+    )
     def test_rejects_a_non_vector(self, b):
         factors = lu_factor(np.eye(3))
         with pytest.raises(DimensionMismatch, match="expected a nonempty 1-D vector"):

@@ -71,6 +71,10 @@ def cyclic_problem(n):
     return dataclasses.replace(registry_get("d"), dim=n, start=np.full(n, -2.0))
 
 
+class OutsideBox(DomainViolation):
+    """A problem's own kind of domain exit."""
+
+
 def leave_domain(x):
     raise DomainViolation("faulty", 0, "is outside the injected domain")
 
@@ -305,6 +309,25 @@ class TestFailureCause:
         assert (dup.cause.problem_name, dup.cause.index) == ("c", 1)
         assert str(dup.cause) == str(trace.cause)
         assert np.array_equal(dup.x, trace.x)
+
+    @pytest.mark.parametrize(
+        "callable_,k,it_tot",
+        [("residual", 0, 0), ("residual", 2, 1), ("jacobian", 1, 3)],
+        ids=["start_point", "mid_sweep", "jacobian"],
+    )
+    def test_domain_violation_subclass(self, callable_, k, it_tot):
+        # the status follows the cause's type, so a problem's subclass maps too
+        exc = OutsideBox("box", 0, "is outside the box")
+
+        def leave(x):
+            raise exc
+
+        p = multiple_root_problem()
+        fault = fault_at_call(getattr(p, callable_), k, leave)
+        trace = solve(dataclasses.replace(p, **{callable_: fault}), SolverConfig(m=3))
+        assert trace.status is SolveStatus.DOMAIN_VIOLATION
+        assert trace.cause is exc
+        assert trace.it_tot == it_tot
 
     @pytest.mark.parametrize("fault", sorted(JACOBIAN_FAULTS))
     def test_jacobian_fault(self, fault):
@@ -544,6 +567,9 @@ class TestSolverConfig:
             {"max_total": True},
             {"tol": math.inf},
             {"tol": True},
+            {"inner_early_exit": "no"},
+            {"record_inner": 1},
+            {"tol": "1e-3"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
