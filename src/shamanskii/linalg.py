@@ -2,29 +2,23 @@
 
 LU factorization with partial (row) pivoting plus the triangular solves and
 the Euclidean norm the nonlinear iteration needs, on plain float64 numpy
-arrays.  Three size bands each use the kernel that is fastest for them
-without costing memory:
+arrays.  Two size bands each use the kernel that is fastest for them:
 
 * ``n <= 3`` (problems a, b, c and e): an elimination loop on Python
   floats.  At this size the cost is per-call overhead, not arithmetic, so
   the loop reads the matrix once with ``tolist()`` instead of making a
   numpy call per element; that halves a 2x2 or 3x3 factorization and
-  solve.  A LAPACK call through ctypes costs more still, and LAPACK scales
-  by the reciprocal of the pivot, which rounds differently and changes the
-  outcome of some runs started far from a root.  The loop rounds as the
+  solve.  A LAPACK call costs more still, and LAPACK scales by the
+  reciprocal of the pivot, which rounds differently and changes the outcome
+  of some runs started far from a root.  The loop rounds as the
   numpy-vectorised loop it replaced did, with one exception: that loop's
   two-term dot product at n = 3 went to BLAS, which may fuse it into one
   FMA, so an n = 3 solution can differ from it in the last bit.
-* ``NUMPY_LAPACK_MIN_N <= n < LAPACK_MIN_N`` (problem d, n = 31):
-  ``dgetrf``/``dgetrs`` from the LAPACK numpy itself links, called through
-  ctypes.  That library is already mapped once numpy is imported, so it
-  costs no memory.  Where numpy does not export those routines, this band
-  uses the loop.
-* ``n >= LAPACK_MIN_N``: the same routines and ``dlange`` from scipy's
-  LAPACK, whose ``dgetrf`` is faster at large n than numpy's copy.  Loading
-  it maps a second BLAS, so only the systems that need it pay for it.
+* ``n >= LAPACK_MIN_N`` (problem d, n = 31, and its scaled versions):
+  ``dgetrf``, ``dgetrs`` and ``dlange`` from scipy's LAPACK.  Loading it
+  maps a second BLAS, about 3 MB, which runs at n <= 3 never pay for.
 
-Every path produces the same packed factors and keeps the same checks:
+Both bands produce the same packed factors and keep the same checks:
 shapes, non-finite input, the singularity threshold and an unmodified input.
 The checks live at the public entry points, which copy an operand only where
 a LAPACK kernel writes to it.  Each band scans for NaN and Inf entries only
@@ -34,7 +28,6 @@ point once, at its boundary, then makes one finiteness test per chord step.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -48,7 +41,6 @@ import numpy as np
 __all__ = [
     "EPS",
     "LAPACK_MIN_N",
-    "NUMPY_LAPACK_MIN_N",
     "DimensionMismatch",
     "NonFiniteInput",
     "SingularMatrix",
@@ -60,11 +52,9 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Smallest n factored by scipy's LAPACK.  Below it numpy's copy is as fast,
-# and loading scipy's own BLAS would add about 3 MB to every process.
-LAPACK_MIN_N = 32
-# Smallest n factored by numpy's LAPACK; the elimination loop takes smaller n.
-NUMPY_LAPACK_MIN_N = 4
+# Smallest n factored by LAPACK; the elimination loop takes smaller n, where
+# a LAPACK call costs more than the whole loop.
+LAPACK_MIN_N = 4
 
 
 class DimensionMismatch(ValueError):
@@ -105,8 +95,9 @@ class _Lapack(NamedTuple):
 def _lapack() -> _Lapack:
     """LAPACK from scipy's f2py extension ``_flapack``.
 
-    The extension is loaded straight from its file, in about 5 ms and 2.5 MB.
-    Importing the ``scipy.linalg`` package instead takes 0.2-0.4 s and 27 MB.
+    The first factorization with ``n >= LAPACK_MIN_N`` loads it straight
+    from its file, in about 5 ms and 2.5 MB; importing the ``scipy.linalg``
+    package instead takes 0.2-0.4 s and 27 MB.
     """
     scipy = importlib.util.find_spec("scipy")
     roots = [] if scipy is None else scipy.submodule_search_locations
@@ -131,61 +122,9 @@ def _lapack() -> _Lapack:
     )
 
 
-# numpy's bundled OpenBLAS is built with 64-bit LAPACK integers (ILP64) and
-# exports its routines as scipy_<name>_64_.
-_INT = ctypes.POINTER(ctypes.c_int64)
-_PTR = ctypes.c_void_p
-
-
-@functools.cache
-def _numpy_lapack() -> _Lapack | None:
-    """LAPACK from the OpenBLAS numpy links, or None where numpy has none.
-
-    ``dlsym`` on numpy's ``_umath_linalg`` extension also searches the
-    libraries it links, which are already mapped.  numpy builds against MKL
-    or Accelerate, and Windows, export no such symbols.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        dgetrf, dgetrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
-    except (OSError, AttributeError):
-        return None
-    # The trailing size_t is the hidden length of the Fortran string argument.
-    dgetrf.argtypes = [_INT, _INT, _PTR, _INT, _PTR, _INT]
-    dgetrs.argtypes = [
-        ctypes.c_char_p, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, ctypes.c_size_t
-    ]
-    dgetrf.restype = dgetrs.restype = None
-
-    # scipy's band keeps dlange: at n = 301 this n x n temporary costs time
-    norm_inf = np.errstate(over="ignore")(lambda a: np.abs(a).sum(axis=1).max())
-
-    # Every array whose address is passed stays bound to a local name until
-    # the call returns; an unnamed temporary could be freed before it.
-    def getrf(a):
-        n = ctypes.c_int64(a.shape[0])
-        ipiv = np.empty(a.shape[0], dtype=np.int64)
-        dgetrf(n, n, a.ctypes.data, n, ipiv.ctypes.data, ctypes.c_int64())
-        return a, ipiv
-
-    def getrs(lu, ipiv, b):
-        n = ctypes.c_int64(b.shape[0])
-        dgetrs(
-            b"N", n, ctypes.c_int64(1), lu.ctypes.data, n, ipiv.ctypes.data,
-            b.ctypes.data, n, ctypes.c_int64(), 1,
-        )
-        return b
-
-    return _Lapack(norm_inf, getrf, getrs)
-
-
 def _lapack_for(n: int) -> _Lapack | None:
     """The LAPACK that factors and solves n x n systems; None means the loop."""
-    if n >= LAPACK_MIN_N:
-        return _lapack()
-    if n >= NUMPY_LAPACK_MIN_N:
-        return _numpy_lapack()
-    return None
+    return _lapack() if n >= LAPACK_MIN_N else None
 
 
 @dataclass(frozen=True)
@@ -195,7 +134,7 @@ class LUFactors:
     ``lu`` holds ``L`` below the diagonal (its unit diagonal is implied) and
     ``U`` on and above it, as LAPACK ``getrf`` stores them.  ``piv`` lists the
     row interchanges in order, 0-based: row ``k`` was swapped with row
-    ``piv[k]``.  Both arrays are read-only.
+    ``piv[k]``; it is int32 at every ``n``.  Both arrays are read-only.
     """
 
     lu: np.ndarray
@@ -309,7 +248,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     Applies the row interchanges to ``b``, then forward and back substitution.
     Reusing one factorization across many right-hand sides is the cheap part
     of the iteration: each call costs O(n^2) against O(n^3) for the
-    factorization itself.
+    factorization itself.  Factors built by hand are checked before a kernel
+    reads them: an ``lu`` that is not n x n or a ``piv`` of other than n
+    entries raises :class:`DimensionMismatch`, a pivot outside ``0..n-1``
+    ``ValueError``.
     """
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(b, dtype=np.float64)
@@ -319,14 +261,26 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     lapack = _lapack_for(n)
+    lu, ipiv, lists = factors.lu, factors._ipiv, factors._lists
+    if ipiv is None and lists is None:
+        lu, piv = np.asarray(lu), np.asarray(factors.piv)
+        if lu.shape != (n, n) or piv.shape != (n,):
+            raise DimensionMismatch(
+                f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
+                f"{(n,)}, got {lu.shape} and {piv.shape}"
+            )
+        if piv.dtype.kind not in "iu" or not ((piv >= 0) & (piv < n)).all():
+            raise ValueError(
+                f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
+                f"from {piv.min()} to {piv.max()}"
+            )
+        if lapack is None:
+            lists = lu.tolist(), piv.tolist()
+        else:
+            ipiv = np.add(piv, 1, dtype=np.int64)
     if lapack is not None:
-        lu, ipiv = factors.lu, factors._ipiv
-        if ipiv is None:
-            # hand-built factors: getrs reads raw memory, so pin their layout
-            lu = np.asfortranarray(lu, dtype=np.float64)
-            ipiv = np.add(factors.piv, 1, dtype=np.int64)
         return lapack.getrs(lu, ipiv, np.array(x))
-    lu, piv = factors._lists or (factors.lu.tolist(), factors.piv.tolist())
+    lu, piv = lists
     xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i

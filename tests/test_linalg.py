@@ -13,11 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shamanskii import linalg
-from shamanskii.cli import main
 from shamanskii.linalg import (
     EPS,
     LAPACK_MIN_N,
-    NUMPY_LAPACK_MIN_N,
     DimensionMismatch,
     LUFactors,
     NonFiniteInput,
@@ -29,8 +27,7 @@ from shamanskii.linalg import (
 from shamanskii.problems import registry_get
 from shamanskii.solver import solve
 
-# numpy's LAPACK takes the first three sizes, scipy's the rest
-LAPACK_SIZES = (NUMPY_LAPACK_MIN_N, 8, LAPACK_MIN_N - 1, LAPACK_MIN_N, 64, 101, 301)
+LAPACK_SIZES = (4, 8, 31, 32, 64, 101, 301)
 
 
 def inf_norm(a):
@@ -305,51 +302,19 @@ class TestDispatch:
     def test_small_systems_stay_on_the_loop(self, monkeypatch):
         # LAPACK rounds differently, which would change runs of a, b, c and e
         def refuse():
-            raise AssertionError("numpy's LAPACK requested for n < NUMPY_LAPACK_MIN_N")
+            raise AssertionError("LAPACK requested for n < LAPACK_MIN_N")
 
-        monkeypatch.setattr(linalg, "_numpy_lapack", refuse)
+        monkeypatch.setattr(linalg, "_lapack", refuse)
         for name in "abce":
             assert solve(registry_get(name)).converged
 
-    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1])
-    def test_middle_band_asks_numpy_lapack(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [4, 31])
+    def test_lapack_band_asks_lapack(self, monkeypatch, n):
         calls = []
-        loader = linalg._numpy_lapack
-        monkeypatch.setattr(linalg, "_numpy_lapack", lambda: calls.append(n) or loader())
+        loader = linalg._lapack
+        monkeypatch.setattr(linalg, "_lapack", lambda: calls.append(n) or loader())
         lu_solve(lu_factor(np.eye(n)), np.ones(n))
         assert calls == [n, n]
-
-    def test_numpy_lapack_found_where_numpy_bundles_openblas(self):
-        # without it n = 31 would fall back to the loop, 20-30x slower, with
-        # every output unchanged
-        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-        ilp64 = "USE64BITINT" in lapack.get("openblas configuration", "")
-        if lapack.get("name") != "scipy-openblas" or not ilp64 or sys.platform == "win32":
-            pytest.skip("numpy does not bundle an ILP64 scipy-openblas here")
-        assert linalg._numpy_lapack() is not None
-
-    def test_loop_when_numpy_has_no_lapack(self, monkeypatch, capsys):
-        def suite_outputs():
-            outputs = []
-            for fmt in ("table", "csv", "json"):
-                assert main(["suite", "--format", fmt]) == 0
-                outputs.append(capsys.readouterr().out)
-            return outputs
-
-        expected = suite_outputs()
-        monkeypatch.setattr(linalg, "_numpy_lapack", lambda: None)
-        assert suite_outputs() == expected
-        # n = 31 on the loop still meets the criterion-5 bounds
-        n = LAPACK_MIN_N - 1
-        rng = np.random.default_rng(n)
-        a = rng.uniform(-1.0, 1.0, (n, n))
-        b = rng.uniform(-1.0, 1.0, n)
-        factors = lu_factor(a)
-        assert factors.lu.flags.c_contiguous  # the loop keeps the input's layout
-        err = inf_norm(a[factors.perm] - factors.lower @ factors.upper)
-        assert err / inf_norm(a) <= 1e-13
-        x = lu_solve(factors, b)
-        assert np.abs(a @ x - b).max() / (inf_norm(a) * np.abs(x).max()) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -397,10 +362,11 @@ class TestSmallSystemBits:
 
 
 @st.composite
-def small_systems(draw):
-    """``(a, b)`` with n in {2, 3}; ``a`` is random, or near-singular: its last
-    row is a combination of the others plus 10**-k times itself, k in 0..20."""
-    n = draw(st.sampled_from([2, 3]))
+def small_systems(draw, sizes=(2, 3)):
+    """``(a, b)`` with n drawn from ``sizes``; ``a`` is random, or near-singular:
+    its last row is a combination of the others plus 10**-k times itself, k in
+    0..20."""
+    n = draw(st.sampled_from(sizes))
     entries = st.floats(-1.0, 1.0, allow_subnormal=False)
 
     def vector(size):
@@ -429,8 +395,14 @@ class TestSmallSystemProperties:
         assert np.isfinite(x).all()
         assert np.abs(a @ x - b).max() <= 1e-12 * inf_norm(a) * np.abs(x).max()
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems(sizes=(3, 4, 5, 8)))
+    def test_bounds_hold_on_both_sides_of_lapack_min_n(self, system):
+        # the body above, on the loop at n = 3 and on LAPACK from n = 4
+        self.test_factor_meets_bounds_or_raises.hypothesis.inner_test(self, system)
 
-@pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+
+@pytest.mark.parametrize("n", [2, 4, 31, 32])
 class TestSavedPivots:
     """lu_factor keeps LAPACK's 1-based pivots for the solves, out of sight."""
 
@@ -446,7 +418,7 @@ class TestSavedPivots:
 
     def test_read_only_and_one_based(self, n):
         ipiv = lu_factor(self.system(n)[0])._ipiv
-        if n < NUMPY_LAPACK_MIN_N:
+        if n < LAPACK_MIN_N:
             assert ipiv is None
             return
         assert not ipiv.flags.writeable
@@ -490,9 +462,9 @@ class TestSavedPivots:
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
     def test_loop_lists_survive_copies(self, n, copier):
         # the loop keeps its rows and pivots as Python lists; LAPACK sizes do not
-        if n >= NUMPY_LAPACK_MIN_N:
+        if n >= LAPACK_MIN_N:
             assert lu_factor(self.system(n)[0])._lists is None
-        for size in range(n, NUMPY_LAPACK_MIN_N):
+        for size in range(n, LAPACK_MIN_N):
             a, b = self.system(size)
             factors = lu_factor(a)
             assert factors._lists == (factors.lu.tolist(), factors.piv.tolist())
@@ -508,6 +480,41 @@ class TestSavedPivots:
             assert lu_solve(hand_built, b).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 31, 32])
+class TestHandBuiltFactors:
+    """Solves check factors not made by lu_factor before a kernel indexes them."""
+
+    @staticmethod
+    def factors(n):
+        return lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+
+    @pytest.mark.parametrize("size", ["n+1", "n-1"])
+    def test_n_that_does_not_fit_raises(self, n, size):
+        factors = self.factors(n)
+        m = n + 1 if size == "n+1" else n - 1
+        match = fr"\({m}, {m}\).*\({m},\).*got \({n}, {n}\) and \({n},\)$"
+        with pytest.raises(DimensionMismatch, match=match):
+            lu_solve(LUFactors(factors.lu, factors.piv, m), np.ones(m))
+
+    def test_short_piv_raises(self, n):
+        factors = self.factors(n)
+        with pytest.raises(DimensionMismatch, match=fr"got \({n}, {n}\) and \({n - 1},\)$"):
+            lu_solve(LUFactors(factors.lu, factors.piv[:-1], n), np.ones(n))
+
+    @pytest.mark.parametrize("pivot", ["-1", "n"])
+    def test_pivot_out_of_range_raises(self, n, pivot):
+        factors = self.factors(n)
+        piv = np.array(factors.piv)
+        piv[0] = -1 if pivot == "-1" else n
+        with pytest.raises(ValueError, match=fr"^piv must hold integers in 0\.\.{n - 1}, "):
+            lu_solve(LUFactors(factors.lu, piv, n), np.ones(n))
+
+    def test_float_pivots_raise(self, n):
+        factors = self.factors(n)
+        with pytest.raises(ValueError, match="got float64 entries"):
+            lu_solve(LUFactors(factors.lu, factors.piv.astype(np.float64), n), np.ones(n))
+
+
 class TestCheapChecks:
     """The checks made without copies give the outcomes the copying ones did."""
 
@@ -516,7 +523,7 @@ class TestCheapChecks:
         with pytest.raises(SingularMatrix, match="below threshold inf at column 0"):
             lu_factor([[1e308, 1e308], [1e308, -1e308]])
 
-    @pytest.mark.parametrize("n", [2, 3, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
+    @pytest.mark.parametrize("n", [2, 3, 4, 32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_anywhere_raises(self, n, bad):
         for i, j in np.ndindex(n, n):
@@ -529,7 +536,7 @@ class TestCheapChecks:
         with pytest.raises(NonFiniteInput):
             lu_factor([[1e308, 1e308], [1.0, np.nan]])
 
-    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+    @pytest.mark.parametrize("n", [4, 31, 32])
     @pytest.mark.parametrize("row", [0, -1])
     def test_lapack_overflowing_row_sum_is_singular(self, n, row):
         # finite entries, so only the row sum says the threshold is inf
@@ -540,7 +547,7 @@ class TestCheapChecks:
             with pytest.raises(SingularMatrix, match="below threshold inf at column 0$"):
                 lu_factor(a)
 
-    @pytest.mark.parametrize("n", [NUMPY_LAPACK_MIN_N, LAPACK_MIN_N - 1, LAPACK_MIN_N])
+    @pytest.mark.parametrize("n", [4, 31, 32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_lapack_non_finite_after_an_overflowing_row(self, n, bad):
         a = np.eye(n)
@@ -549,7 +556,7 @@ class TestCheapChecks:
         with pytest.raises(NonFiniteInput):
             lu_factor(a)
 
-    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
+    @pytest.mark.parametrize("n", [2, 4, 32])
     def test_solve_leaves_b_alone(self, n):
         rng = np.random.default_rng(n)
         factors = lu_factor(rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
@@ -561,7 +568,7 @@ class TestCheapChecks:
         b.setflags(write=False)
         assert np.isfinite(lu_solve(factors, b)).all()
 
-    @pytest.mark.parametrize("n", [2, NUMPY_LAPACK_MIN_N, LAPACK_MIN_N])
+    @pytest.mark.parametrize("n", [2, 4, 32])
     def test_solve_takes_strided_and_list_rhs(self, n):
         rng = np.random.default_rng(n)
         factors = lu_factor(rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
@@ -571,7 +578,7 @@ class TestCheapChecks:
         assert lu_solve(factors, columns[:, 1].tolist()).tobytes() == expected.tobytes()
 
     def test_fortran_ordered_input_factors_the_same(self):
-        n = LAPACK_MIN_N
+        n = 32
         a = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
         c_order, f_order = lu_factor(a), lu_factor(np.asfortranarray(a))
         assert c_order.lu.tobytes() == f_order.lu.tobytes()

@@ -411,8 +411,10 @@ class TestLargeSystems:
                 return linalg._lapack.cache_info().currsize > 0
 
             assert "scipy" not in sys.modules and not lapack_loaded()
-            run_suite("abcde", (1, 2, 3, 4))
+            run_suite("abce", (1, 2, 3, 4))
             assert "scipy" not in sys.modules and not lapack_loaded()
+            run_suite("d", (1, 2, 3, 4))
+            assert lapack_loaded()
             d101 = dataclasses.replace(registry_get("d"), dim=101, start=np.full(101, -2.0))
             assert solve(d101).converged
             assert lapack_loaded()
