@@ -80,10 +80,10 @@ class _Lapack(NamedTuple):
 
     ``norm_inf(a)`` is the infinity norm of ``a``, summed as ``dlange`` sums
     it; it is NaN or Inf, without a warning, when an entry is or a row sum
-    overflows.  ``getrf(a)`` factors ``a`` in place and returns ``(lu, ipiv)``
-    with LAPACK's 1-based interchanges.  ``getrs(lu, ipiv, b)`` overwrites
-    ``b`` with the solution and returns it; it never writes to ``ipiv``, so
-    threads may share one set of factors.
+    overflows.  ``getrf(a)`` factors ``a`` in place and returns ``(lu, piv)``
+    with 0-based int32 interchanges, as ``LUFactors`` keeps them.
+    ``getrs(lu, piv, b)`` overwrites ``b`` with the solution and returns it;
+    it never writes to ``piv``, so threads may share one set of factors.
     """
 
     norm_inf: Callable[[np.ndarray], float]
@@ -109,16 +109,12 @@ def _lapack() -> _Lapack:
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
 
-    # The wrappers take 0-based pivots.  dgetrs shifts them to 1-based and
-    # back in place with the GIL released, so each call gets its own copy.
-    def getrf(a):
-        lu, piv, _ = flapack.dgetrf(a, overwrite_a=True)
-        return lu, piv + 1
-
+    # dgetrs shifts its pivots to 1-based and back in place with the GIL
+    # released, so each call gets its own copy.
     return _Lapack(
         norm_inf=lambda a: flapack.dlange("I", a),
-        getrf=getrf,
-        getrs=lambda lu, ipiv, b: flapack.dgetrs(lu, ipiv - 1, b, overwrite_b=True)[0],
+        getrf=lambda a: flapack.dgetrf(a, overwrite_a=True)[:2],
+        getrs=lambda lu, piv, b: flapack.dgetrs(lu, np.array(piv), b, overwrite_b=True)[0],
     )
 
 
@@ -135,15 +131,17 @@ class LUFactors:
     ``U`` on and above it, as LAPACK ``getrf`` stores them.  ``piv`` lists the
     row interchanges in order, 0-based: row ``k`` was swapped with row
     ``piv[k]``; it is int32 at every ``n``.  Both arrays are read-only.
+
+    ``lu_factor`` also keeps ``(lu, piv)`` in the form the solves' kernel
+    reads: Python lists for the loop, the arrays themselves for LAPACK.
+    Factors built by hand or with ``dataclasses.replace`` have no such view,
+    so every solve checks them and builds it.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
-    # LAPACK's 1-based pivots, kept from getrf so solves need not rebuild them
-    _ipiv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # the loop's rows of lu and its pivots as Python lists, which solves only read
-    _lists: tuple[list, list] | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def lower(self) -> np.ndarray:
@@ -184,7 +182,6 @@ def lu_factor(matrix) -> LUFactors:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
     lapack = _lapack_for(n)
-    ipiv = lists = None
     if lapack is not None:
         # getrf factors in place, so it gets a copy in its Fortran order (a block
         # copy of a Fortran-ordered input)
@@ -193,15 +190,14 @@ def lu_factor(matrix) -> LUFactors:
         if not math.isfinite(norm) and not np.isfinite(a).all():
             raise NonFiniteInput("matrix contains NaN or Inf entries")
         threshold = n * EPS * norm
-        a, ipiv = lapack.getrf(a)
+        a, piv = lapack.getrf(a)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
         bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
         if bad.size:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
-        piv = ipiv - 1
-        ipiv.setflags(write=False)
+        kernel = a, piv
     else:
         rows = a.tolist()
         # row sums left to right, as numpy's reduction adds up short rows; a
@@ -231,14 +227,14 @@ def lu_factor(matrix) -> LUFactors:
                 row[k] = l = row[k] / top[k]
                 for j in range(k + 1, n):
                     row[j] -= l * top[j]
-        lists = rows, piv
+        kernel = rows, piv
         a = np.array(rows)
         piv = np.array(piv, dtype=np.int32)
     a.setflags(write=False)
     piv.setflags(write=False)
     factors = LUFactors(lu=a, piv=piv, n=n)
-    # set past __init__, so that dataclasses.replace leaves them behind
-    vars(factors).update(_ipiv=ipiv, _lists=lists)
+    # set past __init__, so that dataclasses.replace leaves it behind
+    vars(factors)["_kernel"] = kernel
     return factors
 
 
@@ -261,9 +257,9 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     lapack = _lapack_for(n)
-    lu, ipiv, lists = factors.lu, factors._ipiv, factors._lists
-    if ipiv is None and lists is None:
-        lu, piv = np.asarray(lu), np.asarray(factors.piv)
+    kernel = factors._kernel
+    if kernel is None:
+        lu, piv = np.asarray(factors.lu), np.asarray(factors.piv)
         if lu.shape != (n, n) or piv.shape != (n,):
             raise DimensionMismatch(
                 f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
@@ -274,13 +270,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
                 f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
                 f"from {piv.min()} to {piv.max()}"
             )
-        if lapack is None:
-            lists = lu.tolist(), piv.tolist()
-        else:
-            ipiv = np.add(piv, 1, dtype=np.int64)
+        kernel = (lu, piv) if lapack is not None else (lu.tolist(), piv.tolist())
     if lapack is not None:
-        return lapack.getrs(lu, ipiv, np.array(x))
-    lu, piv = lists
+        return lapack.getrs(*kernel, np.array(x))
+    lu, piv = kernel
     xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i

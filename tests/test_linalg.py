@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shamanskii import linalg
@@ -378,12 +378,19 @@ def small_systems(draw, sizes=(2, 3)):
     return a, vector(n)
 
 
+# A solution that underflows: x[0] = b[1] / 1e5 is subnormal, so even a
+# correctly rounded x leaves a residual near 1e5 times the subnormal spacing.
+UNDERFLOW = (np.array([[0.0, 1e5], [1e5, 0.0]]), np.array([0.0, 2.2250738585e-308]))
+
+
 class TestSmallSystemProperties:
     @settings(max_examples=300, deadline=None)
     @given(small_systems())
+    @example(UNDERFLOW)
     def test_factor_meets_bounds_or_raises(self, system):
         # the criterion-5 bounds, or SingularMatrix; never a NaN
         a, b = system
+        n = a.shape[0]
         try:
             factors = lu_factor(a)
         except SingularMatrix:
@@ -393,10 +400,14 @@ class TestSmallSystemProperties:
         assert err <= 1e-13 * inf_norm(a)
         x = lu_solve(factors, b)
         assert np.isfinite(x).all()
-        assert np.abs(a @ x - b).max() <= 1e-12 * inf_norm(a) * np.abs(x).max()
+        # the absolute term allows for underflow in x, as LAPACK's dgerfs
+        # allows (n + 1) * safmin in its backward error
+        bound = 1e-12 * inf_norm(a) * np.abs(x).max() + n * inf_norm(a) * 2.0**-1074
+        assert np.abs(a @ x - b).max() <= bound
 
     @settings(max_examples=300, deadline=None)
     @given(small_systems(sizes=(3, 4, 5, 8)))
+    @example((np.kron(np.eye(2), UNDERFLOW[0]), np.concatenate([UNDERFLOW[1], [0.0, 0.0]])))
     def test_bounds_hold_on_both_sides_of_lapack_min_n(self, system):
         # the body above, on the loop at n = 3 and on LAPACK from n = 4
         self.test_factor_meets_bounds_or_raises.hypothesis.inner_test(self, system)
@@ -404,7 +415,7 @@ class TestSmallSystemProperties:
 
 @pytest.mark.parametrize("n", [2, 4, 31, 32])
 class TestSavedPivots:
-    """lu_factor keeps LAPACK's 1-based pivots for the solves, out of sight."""
+    """lu_factor keeps the factors in the form the solves' kernel reads, out of sight."""
 
     @staticmethod
     def system(n):
@@ -414,15 +425,19 @@ class TestSavedPivots:
     def test_equality_and_repr_ignore_them(self, n):
         factors = lu_factor(self.system(n)[0])
         assert factors == LUFactors(factors.lu, factors.piv, factors.n)
-        assert "_ipiv" not in repr(factors)
+        assert "_kernel" not in repr(factors)
 
-    def test_read_only_and_one_based(self, n):
-        ipiv = lu_factor(self.system(n)[0])._ipiv
+    def test_read_only_and_zero_based(self, n):
+        a = self.system(n)[0]
+        factors = lu_factor(a)
+        lu, piv = factors._kernel
         if n < LAPACK_MIN_N:
-            assert ipiv is None
+            assert (lu, piv) == (factors.lu.tolist(), factors.piv.tolist())
             return
-        assert not ipiv.flags.writeable
-        assert np.array_equal(ipiv, lu_factor(self.system(n)[0]).piv + 1)
+        # LAPACK reads the public arrays themselves: read-only, 0-based pivots
+        assert lu is factors.lu and piv is factors.piv
+        assert not lu.flags.writeable and not piv.flags.writeable
+        assert np.allclose(a[factors.perm], factors.lower @ factors.upper)
 
     @pytest.mark.parametrize("layout", ["kept", "C"])
     def test_hand_built_factors_solve(self, n, layout):
@@ -444,35 +459,37 @@ class TestSavedPivots:
         _ = [np.full((n, n), np.nan) for _ in range(8)]
         assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
 
-    def test_hand_built_c_order_and_int32_pivots_solve(self, n):
-        # solves normalise hand-built factors, which LAPACK reads as raw memory
+    @pytest.mark.parametrize("dtype", ["int32", "int64", "uint8"])
+    def test_hand_built_c_order_and_integer_pivots_solve(self, n, dtype):
+        # f2py converts a C-ordered lu and any integer pivots for LAPACK
         a, b = self.system(n)
         factors = lu_factor(a)
         lu = np.ascontiguousarray(factors.lu)
-        hand_built = LUFactors(lu, factors.piv.astype(np.int32), n)
+        hand_built = LUFactors(lu, factors.piv.astype(dtype), n)
         assert lu_solve(hand_built, b).tobytes() == lu_solve(factors, b).tobytes()
 
     def test_replace_leaves_them_behind(self, n):
         a, b = self.system(n)
         factors = lu_factor(a)
         replaced = dataclasses.replace(lu_factor(np.eye(n)), lu=factors.lu, piv=factors.piv)
-        assert replaced._ipiv is None and replaced._lists is None
+        assert replaced._kernel is None
         assert lu_solve(replaced, b).tobytes() == lu_solve(factors, b).tobytes()
 
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
     def test_loop_lists_survive_copies(self, n, copier):
-        # the loop keeps its rows and pivots as Python lists; LAPACK sizes do not
-        if n >= LAPACK_MIN_N:
-            assert lu_factor(self.system(n)[0])._lists is None
-        for size in range(n, LAPACK_MIN_N):
+        # the loop's view is Python lists, LAPACK's the arrays; copies keep both
+        for size in range(n, LAPACK_MIN_N) if n < LAPACK_MIN_N else [n]:
             a, b = self.system(size)
             factors = lu_factor(a)
-            assert factors._lists == (factors.lu.tolist(), factors.piv.tolist())
-            assert "_lists" not in repr(factors)
+            assert "_kernel" not in repr(factors)
             expected = lu_solve(factors, b)
             duplicate = copier(factors)
-            assert duplicate._lists == factors._lists
-            assert duplicate._lists[0] is not factors._lists[0]
+            (lu, piv), (lu_copy, piv_copy) = factors._kernel, duplicate._kernel
+            if size < LAPACK_MIN_N:
+                assert (lu, piv) == (factors.lu.tolist(), factors.piv.tolist())
+                assert (lu_copy, piv_copy) == (lu, piv) and lu_copy is not lu
+            else:
+                assert lu_copy is duplicate.lu and piv_copy is duplicate.piv
             del factors
             gc.collect()
             assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
