@@ -143,6 +143,14 @@ class LUFactors:
     n: int
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __setstate__(self, state: dict) -> None:
+        # lu_factor, copy.deepcopy and pickle set the view here.  LAPACK reads
+        # its pivots unchecked, so the arrays are made read-only, in copies too
+        vars(self).update(state)
+        if self._kernel is not None:
+            self.lu.setflags(write=False)
+            self.piv.setflags(write=False)
+
     @property
     def lower(self) -> np.ndarray:
         """Unit lower triangular ``L``, with ``|L[i, j]| <= 1`` (partial pivoting)."""
@@ -230,11 +238,9 @@ def lu_factor(matrix) -> LUFactors:
         kernel = rows, piv
         a = np.array(rows)
         piv = np.array(piv, dtype=np.int32)
-    a.setflags(write=False)
-    piv.setflags(write=False)
     factors = LUFactors(lu=a, piv=piv, n=n)
     # set past __init__, so that dataclasses.replace leaves it behind
-    vars(factors)["_kernel"] = kernel
+    factors.__setstate__({"_kernel": kernel})
     return factors
 
 
@@ -246,8 +252,8 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     of the iteration: each call costs O(n^2) against O(n^3) for the
     factorization itself.  Factors built by hand are checked before a kernel
     reads them: an ``lu`` that is not n x n or a ``piv`` of other than n
-    entries raises :class:`DimensionMismatch`, a pivot outside ``0..n-1``
-    ``ValueError``.
+    entries raises :class:`DimensionMismatch`, a pivot outside ``0..n-1`` or
+    a non-integer dtype ``ValueError``.
     """
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(b, dtype=np.float64)

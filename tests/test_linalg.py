@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -490,11 +492,35 @@ class TestSavedPivots:
                 assert (lu_copy, piv_copy) == (lu, piv) and lu_copy is not lu
             else:
                 assert lu_copy is duplicate.lu and piv_copy is duplicate.piv
+            assert not duplicate.lu.flags.writeable and not duplicate.piv.flags.writeable
             del factors
             gc.collect()
             assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
             hand_built = LUFactors(duplicate.lu, duplicate.piv, size)
             assert lu_solve(hand_built, b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "copier", ["copy.deepcopy", "lambda f: pickle.loads(pickle.dumps(f))"], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_refuse_a_pivot_out_of_range(self, n, copier):
+        # LAPACK reads the view's pivots unchecked, so a write that reached it
+        # would kill the interpreter: run in a child process
+        script = f"""
+import copy, pickle
+import numpy as np
+from shamanskii.linalg import lu_factor, lu_solve
+duplicate = ({copier})(lu_factor(np.random.default_rng({n}).uniform(-1.0, 1.0, ({n}, {n}))))
+try:
+    duplicate.piv[0] = 10**8
+except ValueError as error:
+    print("refused:", error)
+else:
+    print("solved:", lu_solve(duplicate, np.ones({n})))
+"""
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "refused: assignment destination is read-only\n")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 31, 32])
