@@ -54,6 +54,11 @@ class Problem:
     ``residual`` and ``jacobian`` are pure functions of a length-``dim``
     vector; evaluation never caches.  Instances are immutable and safe to
     share.
+
+    ``jacobian(x)`` must return a new array on each call: the array belongs to
+    the solver.  At ``dim >= 4`` the solver factors a writeable
+    Fortran-ordered float64 array in place and leaves it read-only; any other
+    array, read-only or C-ordered for one, it copies first.
     """
 
     name: str
@@ -149,8 +154,13 @@ def _jacobian_c(x):
 
 
 def _residual_d(x):
-    # F_i = x_i * x_{i+1} - 1 with the last index wrapping around to x_0.
-    return x * np.roll(x, -1) - 1.0
+    # F_i = x_i * x_{i+1} - 1 with the last index wrapping around to x_0; the
+    # same bytes as x * np.roll(x, -1) - 1.0, without np.roll's temporaries
+    f = np.empty_like(x)
+    np.multiply(x[:-1], x[1:], out=f[:-1])
+    f[-1] = x[-1] * x[0]
+    f -= 1.0
+    return f
 
 
 def _jacobian_d(x):
@@ -158,7 +168,9 @@ def _jacobian_d(x):
     n = x.shape[0]
     rows = np.arange(n)
     cols = (rows + 1) % n
-    jac = np.zeros((n, n), order="F")  # the layout LAPACK factors in
+    # Fortran order is the layout getrf factors in, so the solver factors this
+    # array where it lies instead of copying it
+    jac = np.zeros((n, n), order="F")
     jac[rows, rows] = x[cols]
     jac[rows, cols] = x
     return jac

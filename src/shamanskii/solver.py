@@ -8,6 +8,7 @@ sweep turns into the classic chord method.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -15,7 +16,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .linalg import EPS, NonFiniteInput, SingularMatrix, lu_factor, lu_solve, norm2
+from . import linalg
+from .linalg import EPS, NonFiniteInput, SingularMatrix, lu_solve, norm2
 from .problems import DomainViolation, Problem, evaluate_f, evaluate_jacobian
 
 __all__ = [
@@ -28,6 +30,12 @@ __all__ = [
     "outer_step",
     "newton_solve",
 ]
+
+# Problem.jacobian returns a new array on every call, so the solver owns it and
+# factors it where it lies.  The copy that getrf would otherwise get doubles the
+# n x n buffers each outer step frees; at n = 301 glibc then hands those pages
+# back to the OS, and the next step faults them in again.
+lu_factor = functools.partial(linalg.lu_factor, overwrite_a=True)
 
 # Residual tolerance an order of magnitude above machine epsilon: about the
 # smallest target a float64 residual can reliably reach.
@@ -201,6 +209,10 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     wrong length, or a residual or Jacobian that returns the wrong shape, is a
     programmer error and raises :class:`DimensionMismatch` naming the problem,
     ``x`` or the callable, and both shapes.
+
+    Each array ``problem.jacobian`` returns belongs to the solver.  At
+    ``n >= 4`` a writeable Fortran-ordered float64 Jacobian is factored in
+    place and left read-only; a read-only or C-ordered one is copied first.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(problem.start, dtype=np.float64)

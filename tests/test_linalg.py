@@ -628,6 +628,69 @@ class TestCheapChecks:
         assert np.array_equal(c_order.piv, f_order.piv)
 
 
+def well_conditioned(n, order="F"):
+    rng = np.random.default_rng(n)
+    return np.asarray(rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n), order=order)
+
+
+@pytest.mark.parametrize("n", [4, 31, 32, 301])
+class TestOverwriteA:
+    """overwrite_a factors a writeable Fortran-ordered float64 array where it lies."""
+
+    def test_factors_in_place_with_the_same_bits(self, n):
+        a = well_conditioned(n)
+        expected = lu_factor(a.copy())
+        factors = lu_factor(a, overwrite_a=True)
+        assert np.shares_memory(factors.lu, a)
+        assert not a.flags.writeable
+        assert factors.lu.tobytes() == expected.lu.tobytes()
+        assert factors.piv.tobytes() == expected.piv.tobytes()
+        b = np.ones(n)
+        assert lu_solve(factors, b).tobytes() == lu_solve(expected, b).tobytes()
+
+    @pytest.mark.parametrize("kind", ["c_order", "read_only", "integer", "list"])
+    def test_other_inputs_are_copied(self, n, kind):
+        a = well_conditioned(n)
+        if kind == "c_order":
+            a = np.ascontiguousarray(a)
+        elif kind == "read_only":
+            a.setflags(write=False)
+        elif kind == "integer":
+            a = np.asfortranarray(np.round(4.0 * a).astype(np.int64))
+        elif kind == "list":
+            a = a.tolist()
+        before = np.array(a)
+        expected = lu_factor(before)
+        factors = lu_factor(a, overwrite_a=True)
+        assert np.array_equal(np.asarray(a), before)
+        assert not np.shares_memory(factors.lu, a)
+        if isinstance(a, np.ndarray):
+            assert a.flags.writeable is (kind != "read_only")
+        assert factors.lu.tobytes() == expected.lu.tobytes()
+        assert factors.piv.tobytes() == expected.piv.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_before_writing(self, n, bad):
+        a = well_conditioned(n)
+        a[n // 2, n - 1] = bad
+        before = a.copy()
+        with pytest.raises(NonFiniteInput):
+            lu_factor(a, overwrite_a=True)
+        assert np.array_equal(a, before, equal_nan=True)
+        assert a.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_overwrite_a_leaves_small_systems_alone(n):
+    a = well_conditioned(n)
+    before = a.copy()
+    factors = lu_factor(a, overwrite_a=True)
+    assert np.array_equal(a, before)
+    assert a.flags.writeable
+    assert not np.shares_memory(factors.lu, a)
+    assert factors.lu.tobytes() == lu_factor(before).lu.tobytes()
+
+
 class TestNorm2:
     def test_zero_vector(self):
         assert norm2([0.0, 0.0, 0.0]) == 0.0

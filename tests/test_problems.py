@@ -90,6 +90,14 @@ class TestResiduals:
         x = -np.ones(31)
         assert np.array_equal(evaluate_f(registry_get("d"), x), np.zeros(31))
 
+    @pytest.mark.parametrize("n", [2, 3, 31, 301])
+    def test_d_has_the_bytes_of_the_rolled_product(self, n):
+        residual = registry_get("d").residual
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1e-160, 1e150):
+            x = scale * rng.uniform(-10.0, 10.0, n)
+            assert residual(x).tobytes() == (x * np.roll(x, -1) - 1.0).tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             evaluate_f(registry_get("b"), [1.0, 2.0, 3.0])

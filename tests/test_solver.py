@@ -552,6 +552,87 @@ class TestFrozenJacobianAccounting:
         assert calls["factor"] == trace.it_inv
 
 
+def recording(problem, convert=lambda jac: jac):
+    """``problem`` whose Jacobian passes through ``convert``, and the list of arrays it returned."""
+    returned = []
+
+    def jacobian(x):
+        jac = convert(problem.jacobian(x))
+        returned.append(jac)
+        return jac
+
+    return dataclasses.replace(problem, jacobian=jacobian), returned
+
+
+def read_only(jac):
+    jac.setflags(write=False)
+    return jac
+
+
+class TestJacobianOwnership:
+    """The solver factors the array problem.jacobian returned, not a copy of it."""
+
+    @pytest.mark.parametrize("n", [31, 301])
+    def test_factored_in_place(self, n):
+        problem, returned = recording(cyclic_problem(n))
+        trace = solve(problem, SolverConfig(m=2))
+        assert trace.converged
+        assert len(returned) == trace.it_inv
+        assert not any(jac.flags.writeable for jac in returned)
+
+    @pytest.mark.parametrize("n", [31, 301])
+    @pytest.mark.parametrize("convert", [read_only, np.ascontiguousarray])
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(m=1),
+        SolverConfig(m=4, inner_early_exit=True, record_inner=True),
+    ])
+    def test_copied_jacobians_give_the_same_run(self, n, convert, cfg):
+        expected = solve(cyclic_problem(n), cfg)
+        problem, returned = recording(cyclic_problem(n), convert)
+        trace = solve(problem, cfg)
+        assert trace.status is expected.status
+        assert (trace.it_inv, trace.it_tot) == (expected.it_inv, expected.it_tot)
+        assert trace.residual_norms == expected.residual_norms
+        for ours, theirs in (
+            *zip(trace.outer_iterates, expected.outer_iterates, strict=True),
+            *zip(trace.inner_iterates or [], expected.inner_iterates or [], strict=True),
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+        writeable = convert is np.ascontiguousarray
+        assert all(jac.flags.writeable is writeable for jac in returned)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator")
+    def test_outer_steps_do_not_fault_pages_back_in(self):
+        # Freeing a copy of each 0.7 MB Jacobian along with the Jacobian itself
+        # let glibc return the pages to the OS, to be faulted in again next step
+        script = textwrap.dedent(
+            """
+            import dataclasses, resource
+            import numpy as np
+            from shamanskii import registry_get, solve, SolverConfig
+
+            d = dataclasses.replace(registry_get("d"), dim=301, start=np.full(301, -2.0))
+            solve(d, SolverConfig(m=1))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            trace = solve(d, SolverConfig(m=1))
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert trace.converged
+            print(faults, trace.it_inv)
+            """
+        )
+        src = str(Path(shamanskii.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        faults, steps = map(int, done.stdout.split())
+        assert faults <= 16 * steps, f"{faults} minor faults over {steps} outer steps"
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
