@@ -19,9 +19,9 @@ arrays.  Two size bands each use the kernel that is fastest for them:
   maps a second BLAS, about 3 MB, which runs at n <= 3 never pay for.
 
 Both bands produce the same packed factors and keep the same checks:
-shapes, non-finite input, the singularity threshold and, unless the caller
-passes ``overwrite_a``, an unmodified input.  The checks live at the public
-entry points, which copy an operand only where a LAPACK kernel writes to it.  Each band scans for NaN and Inf entries only
+shapes, non-finite input, the singularity threshold and an unmodified input.
+The checks live at the public entry points, which copy an operand only where
+a LAPACK kernel writes to it.  Each band scans for NaN and Inf entries only
 when ``norm_inf(A)`` is not finite; finite entries whose row sum overflows
 give an infinite threshold, which no pivot meets.  ``solve`` checks its start
 point once, at its boundary, then makes one finiteness test per chord step.
@@ -176,20 +176,30 @@ def _singular(pivot: float, threshold: float, column: int) -> SingularMatrix:
     )
 
 
-def lu_factor(matrix, *, overwrite_a: bool = False) -> LUFactors:
+def lu_factor(matrix) -> LUFactors:
     """Factor a square matrix as ``P A = L U`` with partial pivoting.
 
     Each elimination step picks the largest-magnitude entry of the current
     column as pivot.  A pivot smaller than ``n * eps * norm_inf(A)`` means the
     matrix is singular to working precision and raises :class:`SingularMatrix`
     naming the first such column, instead of letting Inf/NaN leak into later
-    computations.  By default the caller's matrix is never modified.
+    computations.  The caller's matrix is never modified.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim == 2 and a.shape[0] >= LAPACK_MIN_N:
+        # getrf factors in place, so it gets a copy in its Fortran order (a block
+        # copy of a Fortran-ordered input)
+        a = np.array(a, order="F")
+    return _factor_owned(a)
 
-    With ``overwrite_a``, as in scipy, a writeable Fortran-ordered float64
-    ndarray with ``n >= LAPACK_MIN_N`` is factored where it lies: ``getrf``
-    overwrites it, even when the matrix then proves singular, and the returned
-    ``lu`` is that array, made read-only.  A non-finite matrix is rejected
-    before anything is written.  Any other input is copied as by default.
+
+def _factor_owned(matrix) -> LUFactors:
+    """:func:`lu_factor` for a matrix the caller gives up.
+
+    At ``n >= LAPACK_MIN_N`` ``getrf`` factors a writeable Fortran-ordered
+    float64 array where it lies, even when it proves singular, and ``lu`` is
+    that array, made read-only.  Any other array is copied first, and a
+    non-finite one is rejected before anything is written.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -197,10 +207,8 @@ def lu_factor(matrix, *, overwrite_a: bool = False) -> LUFactors:
     n = a.shape[0]
     lapack = _lapack_for(n)
     if lapack is not None:
-        # getrf factors in place, so it gets a copy in its Fortran order unless
-        # the caller gave the array up
         flags = a.flags
-        if not (overwrite_a and flags.f_contiguous and flags.writeable and flags.aligned):
+        if not (flags.f_contiguous and flags.writeable and flags.aligned):
             a = np.array(a, order="F")
         norm = lapack.norm_inf(a)
         if not math.isfinite(norm) and not np.isfinite(a).all():

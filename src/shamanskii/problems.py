@@ -55,10 +55,12 @@ class Problem:
     vector; evaluation never caches.  Instances are immutable and safe to
     share.
 
-    ``jacobian(x)`` must return a new array on each call: the array belongs to
-    the solver.  At ``dim >= 4`` the solver factors a writeable
-    Fortran-ordered float64 array in place and leaves it read-only; any other
-    array, read-only or C-ordered for one, it copies first.
+    At ``dim >= 4`` the solver factors the array ``jacobian(x)`` returns in
+    place, and leaves it read-only, when nothing else can see it: a writeable
+    Fortran-ordered float64 array that owns its memory and to which the
+    problem keeps no reference.  It copies any other array first and leaves
+    it unchanged, so a stored, reused or view Jacobian is safe; a new
+    Fortran-ordered array on each call saves the copy.
     """
 
     name: str
@@ -168,9 +170,7 @@ def _jacobian_d(x):
     n = x.shape[0]
     rows = np.arange(n)
     cols = (rows + 1) % n
-    # Fortran order is the layout getrf factors in, so the solver factors this
-    # array where it lies instead of copying it
-    jac = np.zeros((n, n), order="F")
+    jac = np.zeros((n, n), order="F")  # the layout LAPACK factors in (see Problem)
     jac[rows, rows] = x[cols]
     jac[rows, cols] = x
     return jac

@@ -8,8 +8,8 @@ sweep turns into the classic chord method.
 """
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from numbers import Integral, Real
@@ -31,11 +31,21 @@ __all__ = [
     "newton_solve",
 ]
 
-# Problem.jacobian returns a new array on every call, so the solver owns it and
-# factors it where it lies.  The copy that getrf would otherwise get doubles the
-# n x n buffers each outer step frees; at n = 301 glibc then hands those pages
-# back to the OS, and the next step faults them in again.
-lu_factor = functools.partial(linalg.lu_factor, overwrite_a=True)
+# _outer_step factors a Jacobian that nothing but its own local can reach where
+# it lies (see Problem), and a copy of any other.  The copy doubles the n x n
+# buffers each outer step frees; at n = 301 glibc then hands those pages back
+# to the OS, and the next step faults them in again.
+lu_factor = linalg._factor_owned
+
+
+def _sole_local_refs() -> int:
+    # sys.getrefcount of an array one local alone refers to: it counts its own
+    # argument, and an interpreter that borrows stack references counts fewer
+    jac = np.empty(0)
+    return sys.getrefcount(jac)
+
+
+_SOLE_LOCAL_REFS = _sole_local_refs()
 
 # Residual tolerance an order of magnitude above machine epsilon: about the
 # smallest target a float64 residual can reliably reach.
@@ -165,7 +175,11 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     frame outlives the call.
     """
     try:
-        factors = lu_factor(evaluate_jacobian(problem, x))
+        jac = evaluate_jacobian(problem, x)
+        if not (jac.flags.owndata and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS):
+            # something else may still see the array or the memory under it
+            jac = np.array(jac, order="F")
+        factors = lu_factor(jac)
     except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
         return x, rhs, None, exc.with_traceback(None)
     for steps in range(1, cfg.m + 1):
@@ -210,9 +224,8 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     programmer error and raises :class:`DimensionMismatch` naming the problem,
     ``x`` or the callable, and both shapes.
 
-    Each array ``problem.jacobian`` returns belongs to the solver.  At
-    ``n >= 4`` a writeable Fortran-ordered float64 Jacobian is factored in
-    place and left read-only; a read-only or C-ordered one is copied first.
+    The Jacobians ``problem.jacobian`` returns may be factored in place; see
+    :class:`~shamanskii.problems.Problem` for when.
     """
     cfg = config if config is not None else SolverConfig()
     x = np.array(problem.start, dtype=np.float64)

@@ -634,13 +634,14 @@ def well_conditioned(n, order="F"):
 
 
 @pytest.mark.parametrize("n", [4, 31, 32, 301])
-class TestOverwriteA:
-    """overwrite_a factors a writeable Fortran-ordered float64 array where it lies."""
+class TestFactorOwned:
+    """The solver's lu_factor factors a writeable Fortran-ordered float64 array where it lies."""
 
     def test_factors_in_place_with_the_same_bits(self, n):
         a = well_conditioned(n)
-        expected = lu_factor(a.copy())
-        factors = lu_factor(a, overwrite_a=True)
+        expected = lu_factor(a)
+        assert a.flags.writeable
+        factors = linalg._factor_owned(a)
         assert np.shares_memory(factors.lu, a)
         assert not a.flags.writeable
         assert factors.lu.tobytes() == expected.lu.tobytes()
@@ -661,7 +662,7 @@ class TestOverwriteA:
             a = a.tolist()
         before = np.array(a)
         expected = lu_factor(before)
-        factors = lu_factor(a, overwrite_a=True)
+        factors = linalg._factor_owned(a)
         assert np.array_equal(np.asarray(a), before)
         assert not np.shares_memory(factors.lu, a)
         if isinstance(a, np.ndarray):
@@ -675,16 +676,24 @@ class TestOverwriteA:
         a[n // 2, n - 1] = bad
         before = a.copy()
         with pytest.raises(NonFiniteInput):
-            lu_factor(a, overwrite_a=True)
+            linalg._factor_owned(a)
         assert np.array_equal(a, before, equal_nan=True)
         assert a.flags.writeable
 
+    def test_lu_factor_leaves_the_same_array_alone(self, n):
+        a = well_conditioned(n)
+        before = a.copy()
+        factors = lu_factor(a)
+        assert np.array_equal(a, before)
+        assert a.flags.writeable
+        assert not np.shares_memory(factors.lu, a)
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_overwrite_a_leaves_small_systems_alone(n):
+def test_factor_owned_leaves_small_systems_alone(n):
     a = well_conditioned(n)
     before = a.copy()
-    factors = lu_factor(a, overwrite_a=True)
+    factors = linalg._factor_owned(a)
     assert np.array_equal(a, before)
     assert a.flags.writeable
     assert not np.shares_memory(factors.lu, a)

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import textwrap
@@ -424,7 +425,12 @@ class TestLargeSystems:
         src = str(Path(shamanskii.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
+            # the allocator's own defaults, which these variables would override
+            env={
+                **{k: v for k, v in os.environ.items()
+                   if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"},
+                "PYTHONPATH": src,
+            },
             capture_output=True,
             text=True,
             timeout=60,
@@ -552,16 +558,35 @@ class TestFrozenJacobianAccounting:
         assert calls["factor"] == trace.it_inv
 
 
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
 def recording(problem, convert=lambda jac: jac):
-    """``problem`` whose Jacobian passes through ``convert``, and the list of arrays it returned."""
+    """``problem`` whose Jacobian passes through ``convert``, and the addresses
+    of the arrays it returned; the list keeps no reference to them."""
     returned = []
 
     def jacobian(x):
         jac = convert(problem.jacobian(x))
-        returned.append(jac)
+        returned.append(address(jac))
         return jac
 
     return dataclasses.replace(problem, jacobian=jacobian), returned
+
+
+def factored(monkeypatch):
+    """The addresses of the ``lu`` arrays the solver's lu_factor returns from now on."""
+    addresses = []
+    real_factor = solver_mod.lu_factor
+
+    def recording_factor(matrix):
+        factors = real_factor(matrix)
+        addresses.append(address(factors.lu))
+        return factors
+
+    monkeypatch.setattr(solver_mod, "lu_factor", recording_factor)
+    return addresses
 
 
 def read_only(jac):
@@ -569,68 +594,114 @@ def read_only(jac):
     return jac
 
 
-class TestJacobianOwnership:
-    """The solver factors the array problem.jacobian returned, not a copy of it."""
+def assert_same_run(trace, expected):
+    assert trace.status is expected.status
+    assert (trace.it_inv, trace.it_tot) == (expected.it_inv, expected.it_tot)
+    assert trace.residual_norms == expected.residual_norms
+    for ours, theirs in (
+        *zip(trace.outer_iterates, expected.outer_iterates, strict=True),
+        *zip(trace.inner_iterates or [], expected.inner_iterates or [], strict=True),
+    ):
+        assert ours.tobytes() == theirs.tobytes()
 
-    @pytest.mark.parametrize("n", [31, 301])
-    def test_factored_in_place(self, n):
+
+@pytest.mark.parametrize("n", [31, 301])
+class TestJacobianOwnership:
+    """The solver factors a Jacobian in place only when nothing else can see it."""
+
+    def test_factored_in_place(self, n, monkeypatch):
         problem, returned = recording(cyclic_problem(n))
+        lus = factored(monkeypatch)
         trace = solve(problem, SolverConfig(m=2))
         assert trace.converged
         assert len(returned) == trace.it_inv
-        assert not any(jac.flags.writeable for jac in returned)
+        assert lus == returned
 
-    @pytest.mark.parametrize("n", [31, 301])
     @pytest.mark.parametrize("convert", [read_only, np.ascontiguousarray])
     @pytest.mark.parametrize("cfg", [
         SolverConfig(m=1),
         SolverConfig(m=4, inner_early_exit=True, record_inner=True),
     ])
-    def test_copied_jacobians_give_the_same_run(self, n, convert, cfg):
+    def test_copied_jacobians_give_the_same_run(self, n, convert, cfg, monkeypatch):
         expected = solve(cyclic_problem(n), cfg)
         problem, returned = recording(cyclic_problem(n), convert)
-        trace = solve(problem, cfg)
-        assert trace.status is expected.status
-        assert (trace.it_inv, trace.it_tot) == (expected.it_inv, expected.it_tot)
-        assert trace.residual_norms == expected.residual_norms
-        for ours, theirs in (
-            *zip(trace.outer_iterates, expected.outer_iterates, strict=True),
-            *zip(trace.inner_iterates or [], expected.inner_iterates or [], strict=True),
-        ):
-            assert ours.tobytes() == theirs.tobytes()
-        writeable = convert is np.ascontiguousarray
-        assert all(jac.flags.writeable is writeable for jac in returned)
+        lus = factored(monkeypatch)
+        assert_same_run(solve(problem, cfg), expected)
+        assert all(lu != jac for lu, jac in zip(lus, returned, strict=True))
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator")
-    def test_outer_steps_do_not_fault_pages_back_in(self):
-        # Freeing a copy of each 0.7 MB Jacobian along with the Jacobian itself
-        # let glibc return the pages to the OS, to be faulted in again next step
-        script = textwrap.dedent(
-            """
-            import dataclasses, resource
-            import numpy as np
-            from shamanskii import registry_get, solve, SolverConfig
+    def test_stored_jacobian_is_left_alone(self, n):
+        d = cyclic_problem(n)
+        stored = d.jacobian(d.start)
+        pristine = stored.copy(order="F")
+        cfg = SolverConfig(m=2, max_outer=8)
+        trace = solve(dataclasses.replace(d, jacobian=lambda x: stored), cfg)
+        expected = solve(dataclasses.replace(d, jacobian=lambda x: pristine.copy(order="F")), cfg)
+        assert_same_run(trace, expected)
+        assert stored.flags.writeable
+        assert np.array_equal(stored, pristine)
 
-            d = dataclasses.replace(registry_get("d"), dim=301, start=np.full(301, -2.0))
-            solve(d, SolverConfig(m=1))
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            trace = solve(d, SolverConfig(m=1))
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-            assert trace.converged
-            print(faults, trace.it_inv)
-            """
-        )
-        src = str(Path(shamanskii.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        faults, steps = map(int, done.stdout.split())
-        assert faults <= 16 * steps, f"{faults} minor faults over {steps} outer steps"
+    def test_transposed_view_leaves_its_base_alone(self, n):
+        d = cyclic_problem(n)
+        stored = np.ascontiguousarray(d.jacobian(d.start).T)
+        pristine = stored.copy()
+        cfg = SolverConfig(m=2, max_outer=8)
+        trace = solve(dataclasses.replace(d, jacobian=lambda x: stored.T), cfg)
+        expected = solve(dataclasses.replace(d, jacobian=lambda x: pristine.T.copy(order="F")), cfg)
+        assert_same_run(trace, expected)
+        assert stored.flags.writeable
+        assert np.array_equal(stored, pristine)
+
+    def test_reused_buffer_is_left_alone(self, n):
+        d = cyclic_problem(n)
+        buffer = np.zeros((n, n), order="F")
+        points = []
+
+        def jacobian(x):
+            buffer[...] = d.jacobian(x)
+            points.append(x.copy())
+            return buffer
+
+        trace = solve(dataclasses.replace(d, jacobian=jacobian), SolverConfig(m=2))
+        assert_same_run(trace, solve(d, SolverConfig(m=2)))
+        assert buffer.flags.writeable
+        assert np.array_equal(buffer, d.jacobian(points[-1]))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
+def test_outer_steps_do_not_fault_pages_back_in():
+    # Freeing a copy of each 0.7 MB Jacobian along with the Jacobian itself
+    # let glibc return the pages to the OS, to be faulted in again next step
+    script = textwrap.dedent(
+        """
+        import dataclasses, resource
+        import numpy as np
+        from shamanskii import registry_get, solve, SolverConfig
+
+        d = dataclasses.replace(registry_get("d"), dim=301, start=np.full(301, -2.0))
+        solve(d, SolverConfig(m=1))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trace = solve(d, SolverConfig(m=1))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert trace.converged
+        print(faults, trace.it_inv)
+        """
+    )
+    src = str(Path(shamanskii.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        # glibc's default trim and mmap thresholds, which these would change
+        env={
+            **{k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"},
+            "PYTHONPATH": src,
+        },
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    faults, steps = map(int, done.stdout.split())
+    assert faults <= 16 * steps, f"{faults} minor faults over {steps} outer steps"
 
 
 class TestSolverConfig:
