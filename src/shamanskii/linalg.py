@@ -72,7 +72,8 @@ class SingularMatrix(ArithmeticError):
 def norm2(v) -> float:
     """Euclidean norm sqrt(sum(v_i**2)); NaN entries propagate to the result."""
     v = np.asarray(v, dtype=np.float64)
-    return float(np.sqrt(np.dot(v, v)))
+    # ndarray.dot is np.dot without its __array_function__ dispatch
+    return math.sqrt(v.dot(v))
 
 
 class _Lapack(NamedTuple):
@@ -118,11 +119,6 @@ def _lapack() -> _Lapack:
     )
 
 
-def _lapack_for(n: int) -> _Lapack | None:
-    """The LAPACK that factors and solves n x n systems; None means the loop."""
-    return _lapack() if n >= LAPACK_MIN_N else None
-
-
 @dataclass(frozen=True)
 class LUFactors:
     """Packed LU factors of a row-permuted matrix: ``P A = L U``.
@@ -135,7 +131,9 @@ class LUFactors:
     ``lu_factor`` also keeps ``(lu, piv)`` in the form the solves' kernel
     reads: Python lists for the loop, the arrays themselves for LAPACK.
     Factors built by hand or with ``dataclasses.replace`` have no such view,
-    so every solve checks them and builds it.
+    so every solve checks them and builds it.  At ``n < LAPACK_MIN_N``
+    ``lu_factor`` keeps only the lists, and ``lu`` and ``piv`` are built from
+    them on first access.
     """
 
     lu: np.ndarray
@@ -144,12 +142,26 @@ class LUFactors:
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setstate__(self, state: dict) -> None:
-        # lu_factor, copy.deepcopy and pickle set the view here.  LAPACK reads
-        # its pivots unchecked, so the arrays are made read-only, in copies too
+        # lu_factor at n >= LAPACK_MIN_N, copy.deepcopy and pickle set the view
+        # here.  LAPACK reads its pivots unchecked, so the arrays in the state
+        # are made read-only, in copies too
         vars(self).update(state)
         if self._kernel is not None:
-            self.lu.setflags(write=False)
-            self.piv.setflags(write=False)
+            for name in ("lu", "piv"):
+                if name in state:
+                    state[name].setflags(write=False)
+
+    def __getattr__(self, name: str):
+        # only lu and piv of lazy factors are missing; setdefault keeps the
+        # first arrays built when threads race to build them
+        kernel = vars(self).get("_kernel")
+        if name not in ("lu", "piv") or kernel is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = {"lu": np.array(kernel[0]), "piv": np.array(kernel[1], dtype=np.int32)}
+        for key, array in built.items():
+            array.setflags(write=False)
+            vars(self).setdefault(key, array)
+        return vars(self)[name]
 
     @property
     def lower(self) -> np.ndarray:
@@ -205,8 +217,10 @@ def _factor_owned(matrix) -> LUFactors:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
-    lapack = _lapack_for(n)
-    if lapack is not None:
+    # past __init__, so that dataclasses.replace leaves the kernel's view behind
+    factors = object.__new__(LUFactors)
+    if n >= LAPACK_MIN_N:
+        lapack = _lapack()
         flags = a.flags
         if not (flags.f_contiguous and flags.writeable and flags.aligned):
             a = np.array(a, order="F")
@@ -221,7 +235,7 @@ def _factor_owned(matrix) -> LUFactors:
         if bad.size:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
-        kernel = a, piv
+        factors.__setstate__({"lu": a, "piv": piv, "n": n, "_kernel": (a, piv)})
     else:
         rows = a.tolist()
         # row sums left to right, as numpy's reduction adds up short rows; a
@@ -251,12 +265,8 @@ def _factor_owned(matrix) -> LUFactors:
                 row[k] = l = row[k] / top[k]
                 for j in range(k + 1, n):
                     row[j] -= l * top[j]
-        kernel = rows, piv
-        a = np.array(rows)
-        piv = np.array(piv, dtype=np.int32)
-    factors = LUFactors(lu=a, piv=piv, n=n)
-    # set past __init__, so that dataclasses.replace leaves it behind
-    factors.__setstate__({"_kernel": kernel})
+        # lu and piv are built on first access; the loop reads only the lists
+        vars(factors).update(n=n, _kernel=(rows, piv))
     return factors
 
 
@@ -273,12 +283,12 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     """
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(b, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
     n = factors.n
-    if x.shape[0] != n:
+    if x.shape != (n,) or not n:
+        if x.ndim != 1 or x.size == 0:
+            raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-    lapack = _lapack_for(n)
+    lapack = _lapack() if n >= LAPACK_MIN_N else None
     kernel = factors._kernel
     if kernel is None:
         lu, piv = np.asarray(factors.lu), np.asarray(factors.piv)

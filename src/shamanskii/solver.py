@@ -155,7 +155,7 @@ def _residual(problem, x, step):
         return None, exc.with_traceback(None)
     # A NaN or Inf entry makes the dot product NaN or Inf (Inf * 0 is NaN), so
     # a finite one settles it; overflow alone sends it to the entrywise test.
-    if math.isfinite(np.dot(x, rhs)) or (np.isfinite(x).all() and np.isfinite(rhs).all()):
+    if math.isfinite(x.dot(rhs)) or (np.isfinite(x).all() and np.isfinite(rhs).all()):
         return rhs, None
     if np.isfinite(x).all():
         what = f"residual at chord step {step}" if step else "residual at the start point"

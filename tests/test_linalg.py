@@ -523,6 +523,99 @@ else:
         assert (done.returncode, done.stdout) == (0, "refused: assignment destination is read-only\n")
 
 
+COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda f: pickle.loads(pickle.dumps(f))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+class TestLazyFactors:
+    """Below LAPACK_MIN_N lu_factor keeps the loop's lists; lu and piv wait for a read."""
+
+    @staticmethod
+    def factors(n):
+        return lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+
+    @pytest.mark.parametrize("first", ["lu", "piv"])
+    def test_first_access_builds_read_only_arrays(self, n, first):
+        factors = self.factors(n)
+        assert "lu" not in vars(factors) and "piv" not in vars(factors)
+        rows, piv = copy.deepcopy(factors._kernel)
+        getattr(factors, first)
+        assert factors.lu is factors.lu and factors.piv is factors.piv
+        expected = {"lu": np.array(rows), "piv": np.array(piv, dtype=np.int32)}
+        for name, array in expected.items():
+            built = getattr(factors, name)
+            assert (built.dtype, built.shape) == (array.dtype, array.shape)
+            assert built.tobytes() == array.tobytes()
+            assert built.flags.c_contiguous and not built.flags.writeable
+        assert factors._kernel == (rows, piv)
+
+    @pytest.mark.parametrize("accessed", [False, True])
+    @pytest.mark.parametrize("copier", sorted(COPIERS))
+    def test_copies(self, n, copier, accessed):
+        factors = self.factors(n)
+        b = np.arange(1.0, n + 1.0)
+        if accessed:
+            factors.lu
+        duplicate = COPIERS[copier](factors)
+        assert ("lu" in vars(duplicate)) is accessed
+        assert lu_solve(duplicate, b).tobytes() == lu_solve(factors, b).tobytes()
+        for name in ("lu", "piv"):
+            built = getattr(duplicate, name)
+            assert built.tobytes() == getattr(factors, name).tobytes()
+            assert not built.flags.writeable
+        assert repr(duplicate) == repr(factors)
+
+    @pytest.mark.parametrize("accessed", [False, True])
+    def test_replace_equality_and_repr(self, n, accessed):
+        factors = self.factors(n)
+        b = np.arange(1.0, n + 1.0)
+        if accessed:
+            factors.piv
+        replaced = dataclasses.replace(factors, n=n)
+        assert replaced._kernel is None
+        assert replaced.lu is factors.lu and replaced.piv is factors.piv
+        assert lu_solve(replaced, b).tobytes() == lu_solve(factors, b).tobytes()
+        fresh = self.factors(n)
+        assert fresh == fresh
+        assert repr(fresh) == repr(LUFactors(fresh.lu, fresh.piv, n))
+        assert "_kernel" not in repr(fresh)
+
+    def test_other_names_still_raise(self, n):
+        factors = self.factors(n)
+        with pytest.raises(AttributeError, match="'LUFactors' object has no attribute 'lower_bound'"):
+            factors.lower_bound
+        assert not hasattr(LUFactors(np.eye(n), np.arange(n), n), "_missing")
+
+    def test_threads_see_one_set_of_arrays(self, n):
+        b = np.arange(1.0, n + 1.0)
+        threads_count, rounds = 8, 50
+        barrier = threading.Barrier(threads_count, timeout=60)
+        seen = [[] for _ in range(rounds)]
+        shared = [self.factors(n) for _ in range(rounds)]
+
+        def work():
+            for factors, results in zip(shared, seen):
+                barrier.wait()
+                lu, piv = factors.lu, factors.piv
+                results.append((id(lu), id(piv), lu.tobytes(), piv.tobytes(),
+                                lu_solve(factors, b).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for factors, results in zip(shared, seen):
+            assert len(results) == threads_count and len(set(results)) == 1
+            assert results[0][:2] == (id(factors.lu), id(factors.piv))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 31, 32])
 class TestHandBuiltFactors:
     """Solves check factors not made by lu_factor before a kernel indexes them."""
@@ -712,3 +805,25 @@ class TestNorm2:
 
     def test_nan_propagates(self):
         assert np.isnan(norm2([1.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 301])
+    def test_bits_of_the_numpy_formula(self, n, scale, bad):
+        # at 10**170 the sum of squares overflows to inf, at 10**-170 it
+        # underflows to zero; norm2 warns where np.dot does, and only there
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            v = rng.uniform(-1.0, 1.0, n) * scale
+            if bad is not None:
+                v[rng.integers(n)] = bad
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = norm2(v)
+            with warnings.catch_warnings(record=True) as expected_caught:
+                warnings.simplefilter("always")
+                expected = float(np.sqrt(np.dot(v, v)))
+            assert type(result) is float
+            assert np.float64(result).tobytes() == np.float64(expected).tobytes()
+            warned = [(w.category, str(w.message)) for w in caught]
+            assert warned == [(w.category, str(w.message)) for w in expected_caught]

@@ -605,6 +605,24 @@ def assert_same_run(trace, expected):
         assert ours.tobytes() == theirs.tobytes()
 
 
+@pytest.mark.parametrize("name", "abce")
+@pytest.mark.parametrize("m", ALL_M)
+def test_small_systems_never_build_lu_or_piv(name, m, monkeypatch):
+    # the chord loop reads the factors' lists; lu and piv are built on first access
+    made = []
+    real_factor = solver_mod.lu_factor
+
+    def recording_factor(a):
+        made.append(real_factor(a))
+        return made[-1]
+
+    monkeypatch.setattr(solver_mod, "lu_factor", recording_factor)
+    trace = solve(registry_get(name), SolverConfig(m=m))
+    assert trace.converged and len(made) == trace.it_inv
+    assert not any("lu" in vars(f) or "piv" in vars(f) for f in made)
+    assert all(f.lu.shape == (f.n, f.n) for f in made)
+
+
 @pytest.mark.parametrize("n", [31, 301])
 class TestJacobianOwnership:
     """The solver factors a Jacobian in place only when nothing else can see it."""
