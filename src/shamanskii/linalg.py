@@ -20,11 +20,11 @@ arrays.  Two size bands each use the kernel that is fastest for them:
 
 Both bands produce the same packed factors and keep the same checks:
 shapes, non-finite input, the singularity threshold and an unmodified input.
-The checks live at the public entry points, which copy an operand only where
-a LAPACK kernel writes to it.  Each band scans for NaN and Inf entries only
-when ``norm_inf(A)`` is not finite; finite entries whose row sum overflows
-give an infinite threshold, which no pivot meets.  ``solve`` checks its start
-point once, at its boundary, then makes one finiteness test per chord step.
+Which factors are lazy, shared or read-only is told once, in ``LUFactors``.
+Each band scans for NaN and Inf entries only when ``norm_inf(A)`` is not
+finite; finite entries whose row sum overflows give an infinite threshold,
+which no pivot meets.  ``solve`` checks its start point once, at its
+boundary, then makes one finiteness test per chord step.
 """
 from __future__ import annotations
 
@@ -126,14 +126,16 @@ class LUFactors:
     ``lu`` holds ``L`` below the diagonal (its unit diagonal is implied) and
     ``U`` on and above it, as LAPACK ``getrf`` stores them.  ``piv`` lists the
     row interchanges in order, 0-based: row ``k`` was swapped with row
-    ``piv[k]``; it is int32 at every ``n``.  Both arrays are read-only.
+    ``piv[k]``; it is int32 at every ``n``.
 
-    ``lu_factor`` also keeps ``(lu, piv)`` in the form the solves' kernel
-    reads: Python lists for the loop, the arrays themselves for LAPACK.
-    Factors built by hand or with ``dataclasses.replace`` have no such view,
-    so every solve checks them and builds it.  At ``n < LAPACK_MIN_N``
-    ``lu_factor`` keeps only the lists, and ``lu`` and ``piv`` are built from
-    them on first access.
+    Factors built by hand or with ``dataclasses.replace`` hold the caller's
+    arrays, flags untouched, and every solve checks them.  ``lu_factor`` also
+    keeps ``(lu, piv)`` in the form the solves' kernel reads, so its solves
+    check nothing: at ``n >= LAPACK_MIN_N`` the arrays themselves, built at
+    once; below it the loop's Python lists, from which ``lu`` and ``piv`` are
+    built on first access.  A shallow, deep or pickled copy is of its
+    original's kind.  The arrays of ``lu_factor``'s factors and their copies
+    are read-only, made so in ``__setstate__``, the one place that stores them.
     """
 
     lu: np.ndarray
@@ -142,25 +144,21 @@ class LUFactors:
     _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __setstate__(self, state: dict) -> None:
-        # lu_factor at n >= LAPACK_MIN_N, copy.deepcopy and pickle set the view
-        # here.  LAPACK reads its pivots unchecked, so the arrays in the state
-        # are made read-only, in copies too
-        vars(self).update(state)
-        if self._kernel is not None:
-            for name in ("lu", "piv"):
-                if name in state:
-                    state[name].setflags(write=False)
+        # _factor_owned, __getattr__ and copies all come here.  On a fresh copy
+        # setdefault is update; when threads race to build lu and piv it keeps
+        # the first arrays built
+        for key, value in state.items():
+            if key in ("lu", "piv") and state.get("_kernel") is not None:
+                value.setflags(write=False)
+            vars(self).setdefault(key, value)
 
     def __getattr__(self, name: str):
-        # only lu and piv of lazy factors are missing; setdefault keeps the
-        # first arrays built when threads race to build them
+        # only lu and piv of lazy factors are missing
         kernel = vars(self).get("_kernel")
         if name not in ("lu", "piv") or kernel is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        built = {"lu": np.array(kernel[0]), "piv": np.array(kernel[1], dtype=np.int32)}
-        for key, array in built.items():
-            array.setflags(write=False)
-            vars(self).setdefault(key, array)
+            return object.__getattribute__(self, name)
+        lu, piv = np.array(kernel[0]), np.array(kernel[1], dtype=np.int32)
+        self.__setstate__({"_kernel": kernel, "lu": lu, "piv": piv})
         return vars(self)[name]
 
     @property
@@ -197,12 +195,7 @@ def lu_factor(matrix) -> LUFactors:
     naming the first such column, instead of letting Inf/NaN leak into later
     computations.  The caller's matrix is never modified.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim == 2 and a.shape[0] >= LAPACK_MIN_N:
-        # getrf factors in place, so it gets a copy in its Fortran order (a block
-        # copy of a Fortran-ordered input)
-        a = np.array(a, order="F")
-    return _factor_owned(a)
+    return _factor_owned(np.array(matrix, dtype=np.float64, order="F"))
 
 
 def _factor_owned(matrix) -> LUFactors:

@@ -268,22 +268,21 @@ def check_jacobian(
     candidates = [problem.start]
     for _ in range(points):
         candidates.append(problem.start + rng.uniform(-spread, spread, problem.dim))
-    worst = math.nan  # until a point is checked
-    worst_entry = (0, 0)
-    checked = skipped = 0
+    rels, entries = [], []
     for x in candidates:
         try:
             analytic = evaluate_jacobian(problem, x)
             approx = fd_jacobian(problem, x, h)
         except DomainViolation:
-            skipped += 1
             continue
-        checked += 1
         diff = np.abs(analytic - approx)
         scale = 1.0 + float(np.abs(analytic).sum(axis=1).max())
-        rel = float(diff.max()) / scale
-        if checked == 1 or rel > worst or (math.isnan(rel) and not math.isnan(worst)):
-            worst = rel
-            i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-            worst_entry = (int(i), int(j))
-    return JacobianCheck(problem.name, worst, worst_entry, checked, skipped)
+        rels.append(float(diff.max()) / scale)
+        entries.append(np.unravel_index(int(np.argmax(diff)), diff.shape))
+    skipped = len(candidates) - len(rels)
+    if not rels:
+        return JacobianCheck(problem.name, math.nan, (0, 0), 0, skipped)
+    # np.argmax picks the first NaN, else the first largest error
+    k = int(np.argmax(rels))
+    i, j = entries[k]
+    return JacobianCheck(problem.name, rels[k], (int(i), int(j)), len(rels), skipped)

@@ -793,6 +793,53 @@ def test_factor_owned_leaves_small_systems_alone(n):
     assert factors.lu.tobytes() == lu_factor(before).lu.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["list", "integer", "f_order", "read_only"])
+def test_lu_factor_copies_small_systems_as_c_float64(n, kind):
+    a = well_conditioned(n, order="C")
+    if kind == "integer":
+        a = np.round(4.0 * a).astype(np.int64)
+    elif kind == "f_order":
+        a = np.asfortranarray(a)
+    elif kind == "read_only":
+        a.setflags(write=False)
+    expected = lu_factor(np.ascontiguousarray(a, dtype=np.float64))
+    if kind == "list":
+        a = a.tolist()
+    before = np.array(a)
+    factors = lu_factor(a)
+    assert factors.lu.tobytes() == expected.lu.tobytes()
+    assert factors.piv.tobytes() == expected.piv.tobytes()
+    assert np.array_equal(np.asarray(a), before)
+    if isinstance(a, np.ndarray):
+        assert a.flags.writeable is (kind != "read_only")
+        assert not np.shares_memory(factors.lu, a)
+
+
+@pytest.mark.parametrize("n", [2, 4, 31])
+class TestShallowCopies:
+    """copy.copy shares the original's arrays and leaves their flags as the original has them."""
+
+    def test_hand_built_arrays_stay_writeable(self, n):
+        factors = lu_factor(well_conditioned(n))
+        lu, piv = np.array(factors.lu), np.array(factors.piv)
+        duplicate = copy.copy(LUFactors(lu, piv, n))
+        assert duplicate.lu is lu and duplicate.piv is piv
+        assert lu.flags.writeable and piv.flags.writeable
+        b = np.arange(1.0, n + 1.0)
+        assert lu_solve(duplicate, b).tobytes() == lu_solve(factors, b).tobytes()
+
+    def test_factors_share_the_kernel_and_stay_read_only(self, n):
+        factors = lu_factor(well_conditioned(n))
+        duplicate = copy.copy(factors)
+        assert duplicate._kernel is factors._kernel
+        assert not duplicate.lu.flags.writeable and not duplicate.piv.flags.writeable
+        assert duplicate.lu.tobytes() == factors.lu.tobytes()
+        assert duplicate.piv.tobytes() == factors.piv.tobytes()
+        b = np.arange(1.0, n + 1.0)
+        assert lu_solve(duplicate, b).tobytes() == lu_solve(factors, b).tobytes()
+
+
 class TestNorm2:
     def test_zero_vector(self):
         assert norm2([0.0, 0.0, 0.0]) == 0.0
