@@ -4,72 +4,17 @@ One Jacobian factorization per outer iteration, ``m`` chord updates reusing
 the frozen factors, local convergence order ``m + 1``.  Ships a registry of
 five benchmark problems, a convergence-order estimator, and a CLI harness.
 """
-from .analysis import CocReport, SuiteCell, SuiteReport, estimate_coc, run_suite
-from .linalg import (
-    EPS,
-    DimensionMismatch,
-    LUFactors,
-    NonFiniteInput,
-    SingularMatrix,
-    lu_factor,
-    lu_solve,
-    norm2,
-)
-from .problems import (
-    DomainViolation,
-    JacobianCheck,
-    Problem,
-    UnknownProblem,
-    check_jacobian,
-    evaluate_f,
-    evaluate_jacobian,
-    fd_jacobian,
-    registry_get,
-    registry_names,
-)
-from .solver import (
-    TOL_DEFAULT,
-    NonFiniteIterate,
-    SolverConfig,
-    SolveStatus,
-    SolveTrace,
-    newton_solve,
-    outer_step,
-    solve,
-)
+from . import analysis, linalg, problems, solver
+from .analysis import *
+from .linalg import *
+from .problems import *
+from .solver import *
 
-__all__ = [
-    "EPS",
-    "TOL_DEFAULT",
-    "CocReport",
-    "DimensionMismatch",
-    "DomainViolation",
-    "JacobianCheck",
-    "LUFactors",
-    "NonFiniteInput",
-    "NonFiniteIterate",
-    "Problem",
-    "SingularMatrix",
-    "SolveStatus",
-    "SolveTrace",
-    "SolverConfig",
-    "SuiteCell",
-    "SuiteReport",
-    "UnknownProblem",
-    "check_jacobian",
-    "estimate_coc",
-    "evaluate_f",
-    "evaluate_jacobian",
-    "fd_jacobian",
-    "lu_factor",
-    "lu_solve",
-    "newton_solve",
-    "norm2",
-    "outer_step",
-    "registry_get",
-    "registry_names",
-    "run_suite",
-    "solve",
-]
+# Each submodule's __all__ is the one declaration of what it makes public.
+__all__ = []
+__all__ += analysis.__all__
+__all__ += linalg.__all__
+__all__ += problems.__all__
+__all__ += solver.__all__
 
 __version__ = "0.1.0"

@@ -115,8 +115,8 @@ def _ms(text: str) -> list[int]:
 def _add_solver_flags(parser):
     parser.add_argument("--tol", type=float, default=TOL_DEFAULT,
                         help="residual tolerance (default: 10 times machine epsilon)")
-    parser.add_argument("--max-outer", type=int, default=100,
-                        help="cap on outer iterations (default: 100)")
+    parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,
+                        help="cap on outer iterations (default: %(default)s)")
     parser.add_argument("--inner-early-exit", action="store_true",
                         help="also test convergence after each inner update")
 
@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve one problem")
     run.add_argument("--problem", type=_problem, required=True,
                      help="problem name (see list-problems)")
-    run.add_argument("--m", type=int, default=1,
-                     help="inner updates per factorization (default: 1)")
+    run.add_argument("--m", type=int, default=SolverConfig.m,
+                     help="inner updates per factorization (default: %(default)s)")
     _add_solver_flags(run)
     run.add_argument("--verbose", "-v", action="store_true",
                      help="print the residual after every outer iteration")
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         if "tol" in args:
             try:
                 # run and suite carry the solver flags; suite sets m per grid cell
-                args.config = SolverConfig(m=getattr(args, "m", 1), tol=args.tol,
+                args.config = SolverConfig(m=getattr(args, "m", SolverConfig.m), tol=args.tol,
                                            max_outer=args.max_outer,
                                            inner_early_exit=args.inner_early_exit)
             except ValueError as exc:

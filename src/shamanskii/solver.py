@@ -214,15 +214,16 @@ _NO_FP_WARNINGS = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     """Drive the frozen-Jacobian iteration from the problem's start point.
 
-    Loop until the residual norm drops to ``config.tol``: factor the Jacobian
-    at the current outer iterate, run ``config.m`` chord updates reusing the
-    factors (each followed by a residual evaluation), then record the new
-    outer iterate and its residual norm.  A numerical failure or an iteration
-    cap ends the loop with the status :class:`SolveTrace` describes; the
-    partial trace is always returned, never thrown away.  A start point of the
-    wrong length, or a residual or Jacobian that returns the wrong shape, is a
-    programmer error and raises :class:`DimensionMismatch` naming the problem,
-    ``x`` or the callable, and both shapes.
+    Loop until the residual norm is at most ``config.tol``, so a norm equal to
+    ``tol`` has converged: factor the Jacobian at the current outer iterate,
+    run ``config.m`` chord updates reusing the factors (each followed by a
+    residual evaluation), then record the new outer iterate and its residual
+    norm.  A numerical failure or an iteration cap ends the loop with the
+    status :class:`SolveTrace` describes; the partial trace is always returned,
+    never thrown away.  A start point of the wrong length, or a residual or
+    Jacobian that returns the wrong shape, is a programmer error and raises
+    :class:`DimensionMismatch` naming the problem, ``x`` or the callable, and
+    both shapes.
 
     The Jacobians ``problem.jacobian`` returns may be factored in place; see
     :class:`~shamanskii.problems.Problem` for when.

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,3 +221,32 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "suite" in out
+
+
+class TestModuleEntryPoint:
+    """``python -m shamanskii`` runs the same ``main`` in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", "shamanskii", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_list_problems(self):
+        done = self.run_module("list-problems")
+        assert done.returncode == 0
+        assert len(done.stdout.splitlines()) == 5
+
+    def test_run_prints_what_main_prints(self, capsys):
+        argv = ("run", "--problem", "b", "--m", "2")
+        _, out, _ = run_cli(capsys, *argv)
+        done = self.run_module(*argv)
+        assert done.returncode == 0
+        assert done.stdout == out
+
+    def test_usage_error_exits_1(self):
+        assert self.run_module("run", "--problem", "nope").returncode == 1
+
+    def test_numerical_failure_exits_2(self):
+        assert self.run_module("suite", "--problems", "b", "--max-outer", "1").returncode == 2

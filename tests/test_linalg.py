@@ -144,6 +144,14 @@ class TestLuFactor:
         lu_factor(a)
         assert np.array_equal(a, before)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 31])
+    def test_pivot_on_threshold_factors(self, n):
+        # ||A||_inf = 1, so the last pivot sits exactly on n * eps * ||A||_inf
+        a = np.eye(n)
+        a[-1, -1] = n * EPS
+        factors = lu_factor(a)
+        assert factors.upper[-1, -1] == n * EPS
+
 
 class TestLuSolve:
     def test_identity(self):

@@ -61,6 +61,11 @@ def multiple_root_problem(start=1.0):
     return one_dim_problem("square", lambda v: v * v, lambda v: 2.0 * v, start)
 
 
+def halving_problem(start):
+    # F(x) = x with J = 2: each update halves x exactly, so |F| lands on tol
+    return one_dim_problem("halving", lambda v: v, lambda v: 2.0, start)
+
+
 def fault_at_call(fn, k, fault):
     """``fn`` whose k-th call (counting from 0) returns ``fault(x)`` instead."""
     calls = itertools.count()
@@ -224,12 +229,39 @@ class TestFailureStatuses:
         assert trace.it_inv == 3
         assert trace.it_tot == 3
 
+    def test_max_outer_caps_below_max_total(self):
+        cfg = SolverConfig(m=1, max_outer=2, max_total=10)
+        trace = solve(halving_problem(1.0), cfg)
+        assert trace.status is SolveStatus.MAX_ITERATIONS
+        assert trace.it_inv == 2
+
     @pytest.mark.parametrize("cap,expected_tot", [(4, 4), (5, 4)])
     def test_max_total_cap_keeps_sweeps_whole(self, cap, expected_tot):
         trace = solve(multiple_root_problem(), SolverConfig(m=2, max_total=cap))
         assert trace.status is SolveStatus.MAX_ITERATIONS
         assert trace.it_tot == expected_tot
         assert trace.it_tot == 2 * trace.it_inv
+
+
+class TestToleranceBoundary:
+    """A residual equal to ``tol`` counts as converged, at every test site."""
+
+    def test_start_on_tolerance_converges_at_once(self):
+        trace = solve(halving_problem(TOL_DEFAULT))
+        assert trace.status is SolveStatus.CONVERGED
+        assert trace.it_inv == 0
+
+    def test_update_onto_tolerance_converges(self):
+        trace = solve(halving_problem(2 * TOL_DEFAULT))
+        assert trace.status is SolveStatus.CONVERGED
+        assert trace.it_inv == 1
+        assert trace.final_residual == TOL_DEFAULT
+
+    def test_inner_early_exit_on_tolerance(self):
+        cfg = SolverConfig(m=3, inner_early_exit=True)
+        trace = solve(halving_problem(2 * TOL_DEFAULT), cfg)
+        assert trace.status is SolveStatus.CONVERGED
+        assert trace.it_tot == 1
 
 
 class TestFloatingPointWarnings:
