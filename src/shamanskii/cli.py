@@ -22,9 +22,6 @@ EXIT_FAILURE = 2
 # Analytic and central-difference Jacobians must agree to this relative level.
 JACOBIAN_RTOL = 1e-5
 
-_DEFAULT_PROBLEMS = "a,b,c,d,e"
-_DEFAULT_MS = "1,2,3,4"
-
 
 def _fmt_rho(rho: float | None) -> str:
     return "NA" if rho is None else f"{rho:.4f}"
@@ -191,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     suite = sub.add_parser("suite", help="run the benchmark grid")
-    suite.add_argument("--problems", type=_problem_names, default=_DEFAULT_PROBLEMS,
-                       help=f"comma-separated problem names (default: {_DEFAULT_PROBLEMS})")
-    suite.add_argument("--ms", type=_ms, default=_DEFAULT_MS,
-                       help=f"comma-separated m values (default: {_DEFAULT_MS})")
+    suite.add_argument("--problems", type=_problem_names, default=",".join(registry_names()),
+                       help="comma-separated problem names (default: %(default)s)")
+    suite.add_argument("--ms", type=_ms, default="1,2,3,4",
+                       help="comma-separated m values (default: %(default)s)")
     _add_solver_flags(suite)
     suite.add_argument("--format", choices=sorted(_RENDERERS), default="table",
                        help="output format (default: table)")

@@ -20,7 +20,6 @@ arrays.  Two size bands each use the kernel that is fastest for them:
 
 Both bands produce the same packed factors and keep the same checks:
 shapes, non-finite input, the singularity threshold and an unmodified input.
-Which factors are lazy, shared or read-only is told once, in ``LUFactors``.
 Each band scans for NaN and Inf entries only when ``norm_inf(A)`` is not
 finite; finite entries whose row sum overflows give an infinite threshold,
 which no pivot meets.  ``solve`` checks its start point once, at its
@@ -33,7 +32,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -119,6 +118,15 @@ def _lapack() -> _Lapack:
     )
 
 
+class _Factors(NamedTuple):
+    """Factors as :func:`_solve` reads them, unchecked: the elimination loop's
+    Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up."""
+
+    lu: list | np.ndarray
+    piv: list | np.ndarray
+    n: int
+
+
 @dataclass(frozen=True)
 class LUFactors:
     """Packed LU factors of a row-permuted matrix: ``P A = L U``.
@@ -128,38 +136,15 @@ class LUFactors:
     row interchanges in order, 0-based: row ``k`` was swapped with row
     ``piv[k]``; it is int32 at every ``n``.
 
-    Factors built by hand or with ``dataclasses.replace`` hold the caller's
-    arrays, flags untouched, and every solve checks them.  ``lu_factor`` also
-    keeps ``(lu, piv)`` in the form the solves' kernel reads, so its solves
-    check nothing: at ``n >= LAPACK_MIN_N`` the arrays themselves, built at
-    once; below it the loop's Python lists, from which ``lu`` and ``piv`` are
-    built on first access.  A shallow, deep or pickled copy is of its
-    original's kind.  The arrays of ``lu_factor``'s factors and their copies
-    are read-only, made so in ``__setstate__``, the one place that stores them.
+    :func:`lu_factor` returns read-only arrays.  Nothing else about the
+    factors is trusted: :func:`lu_solve` checks them on every call, so factors
+    built by hand, replaced, copied, pickled or written to are all safe to
+    solve with.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
-    _kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __setstate__(self, state: dict) -> None:
-        # _factor_owned, __getattr__ and copies all come here.  On a fresh copy
-        # setdefault is update; when threads race to build lu and piv it keeps
-        # the first arrays built
-        for key, value in state.items():
-            if key in ("lu", "piv") and state.get("_kernel") is not None:
-                value.setflags(write=False)
-            vars(self).setdefault(key, value)
-
-    def __getattr__(self, name: str):
-        # only lu and piv of lazy factors are missing
-        kernel = vars(self).get("_kernel")
-        if name not in ("lu", "piv") or kernel is None:
-            return object.__getattribute__(self, name)
-        lu, piv = np.array(kernel[0]), np.array(kernel[1], dtype=np.int32)
-        self.__setstate__({"_kernel": kernel, "lu": lu, "piv": piv})
-        return vars(self)[name]
 
     @property
     def lower(self) -> np.ndarray:
@@ -195,11 +180,16 @@ def lu_factor(matrix) -> LUFactors:
     naming the first such column, instead of letting Inf/NaN leak into later
     computations.  The caller's matrix is never modified.
     """
-    return _factor_owned(np.array(matrix, dtype=np.float64, order="F"))
+    lu, piv, n = _factor_owned(np.array(matrix, dtype=np.float64, order="F"))
+    # no copies at n >= LAPACK_MIN_N, where these are getrf's own arrays
+    lu, piv = np.asarray(lu), np.asarray(piv, dtype=np.int32)
+    lu.setflags(write=False)
+    piv.setflags(write=False)
+    return LUFactors(lu, piv, n)
 
 
-def _factor_owned(matrix) -> LUFactors:
-    """:func:`lu_factor` for a matrix the caller gives up.
+def _factor_owned(matrix) -> _Factors:
+    """:func:`lu_factor` for a matrix the caller gives up, in kernel form.
 
     At ``n >= LAPACK_MIN_N`` ``getrf`` factors a writeable Fortran-ordered
     float64 array where it lies, even when it proves singular, and ``lu`` is
@@ -210,8 +200,6 @@ def _factor_owned(matrix) -> LUFactors:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
-    # past __init__, so that dataclasses.replace leaves the kernel's view behind
-    factors = object.__new__(LUFactors)
     if n >= LAPACK_MIN_N:
         lapack = _lapack()
         flags = a.flags
@@ -228,39 +216,37 @@ def _factor_owned(matrix) -> LUFactors:
         if bad.size:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
-        factors.__setstate__({"lu": a, "piv": piv, "n": n, "_kernel": (a, piv)})
-    else:
-        rows = a.tolist()
-        # row sums left to right, as numpy's reduction adds up short rows; a
-        # sum is finite unless an entry is NaN or Inf or the entries overflow it
-        norm = 0.0
-        for row in rows:
-            total = 0.0
-            for v in row:
-                total += abs(v)
-            if not math.isfinite(total) and not all(map(math.isfinite, row)):
-                raise NonFiniteInput("matrix contains NaN or Inf entries")
-            norm = max(norm, total)
-        threshold = n * EPS * norm
-        piv = []
-        for k in range(n):
-            # the first entry of largest magnitude, as np.argmax picks it
-            p, pivot = k, abs(rows[k][k])
-            for i in range(k + 1, n):
-                if abs(rows[i][k]) > pivot:
-                    p, pivot = i, abs(rows[i][k])
-            if pivot < threshold or pivot == 0.0:
-                raise _singular(pivot, threshold, k)
-            piv.append(p)
-            rows[k], rows[p] = rows[p], rows[k]
-            top = rows[k]
-            for row in rows[k + 1 :]:
-                row[k] = l = row[k] / top[k]
-                for j in range(k + 1, n):
-                    row[j] -= l * top[j]
-        # lu and piv are built on first access; the loop reads only the lists
-        vars(factors).update(n=n, _kernel=(rows, piv))
-    return factors
+        a.setflags(write=False)
+        return _Factors(a, piv, n)
+    rows = a.tolist()
+    # row sums left to right, as numpy's reduction adds up short rows; a
+    # sum is finite unless an entry is NaN or Inf or the entries overflow it
+    norm = 0.0
+    for row in rows:
+        total = 0.0
+        for v in row:
+            total += abs(v)
+        if not math.isfinite(total) and not all(map(math.isfinite, row)):
+            raise NonFiniteInput("matrix contains NaN or Inf entries")
+        norm = max(norm, total)
+    threshold = n * EPS * norm
+    piv = []
+    for k in range(n):
+        # the first entry of largest magnitude, as np.argmax picks it
+        p, pivot = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > pivot:
+                p, pivot = i, abs(rows[i][k])
+        if pivot < threshold or pivot == 0.0:
+            raise _singular(pivot, threshold, k)
+        piv.append(p)
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k] = l = row[k] / top[k]
+            for j in range(k + 1, n):
+                row[j] -= l * top[j]
+    return _Factors(rows, piv, n)
 
 
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
@@ -269,10 +255,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     Applies the row interchanges to ``b``, then forward and back substitution.
     Reusing one factorization across many right-hand sides is the cheap part
     of the iteration: each call costs O(n^2) against O(n^3) for the
-    factorization itself.  Factors built by hand are checked before a kernel
-    reads them: an ``lu`` that is not n x n or a ``piv`` of other than n
-    entries raises :class:`DimensionMismatch`, a pivot outside ``0..n-1`` or
-    a non-integer dtype ``ValueError``.
+    factorization itself.  The factors are checked before a kernel reads
+    them: an ``lu`` that is not n x n or a ``piv`` of other than n entries
+    raises :class:`DimensionMismatch`, a pivot outside ``0..n-1`` or a
+    non-integer dtype ``ValueError``.
     """
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(b, dtype=np.float64)
@@ -281,24 +267,29 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
         if x.ndim != 1 or x.size == 0:
             raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-    lapack = _lapack() if n >= LAPACK_MIN_N else None
-    kernel = factors._kernel
-    if kernel is None:
-        lu, piv = np.asarray(factors.lu), np.asarray(factors.piv)
-        if lu.shape != (n, n) or piv.shape != (n,):
-            raise DimensionMismatch(
-                f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
-                f"{(n,)}, got {lu.shape} and {piv.shape}"
-            )
-        if piv.dtype.kind not in "iu" or not ((piv >= 0) & (piv < n)).all():
-            raise ValueError(
-                f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
-                f"from {piv.min()} to {piv.max()}"
-            )
-        kernel = (lu, piv) if lapack is not None else (lu.tolist(), piv.tolist())
-    if lapack is not None:
-        return lapack.getrs(*kernel, np.array(x))
-    lu, piv = kernel
+    # the pivots checked are a copy, which no other thread can write to
+    lu, piv = np.asarray(factors.lu), np.array(factors.piv)
+    if lu.shape != (n, n) or piv.shape != (n,):
+        raise DimensionMismatch(
+            f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
+            f"{(n,)}, got {lu.shape} and {piv.shape}"
+        )
+    pivots = piv.tolist()
+    if piv.dtype.kind not in "iu" or not 0 <= min(pivots) <= max(pivots) < n:
+        raise ValueError(
+            f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
+            f"from {piv.min()} to {piv.max()}"
+        )
+    kernel = (lu, piv) if n >= LAPACK_MIN_N else (lu.tolist(), pivots)
+    return _solve(_Factors(*kernel, n), x)
+
+
+def _solve(factors: _Factors, x: np.ndarray) -> np.ndarray:
+    """:func:`lu_solve` on :func:`_factor_owned`'s factors and a float64 vector
+    of length n, with no checks."""
+    lu, piv, n = factors
+    if n >= LAPACK_MIN_N:
+        return _lapack().getrs(lu, piv, np.array(x))
     xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i

@@ -17,7 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import linalg
-from .linalg import EPS, NonFiniteInput, SingularMatrix, lu_solve, norm2
+from .linalg import EPS, NonFiniteInput, SingularMatrix, norm2
 from .problems import DomainViolation, Problem, evaluate_f, evaluate_jacobian
 
 __all__ = [
@@ -34,8 +34,10 @@ __all__ = [
 # _outer_step factors a Jacobian that nothing but its own local can reach where
 # it lies (see Problem), and a copy of any other.  The copy doubles the n x n
 # buffers each outer step frees; at n = 301 glibc then hands those pages back
-# to the OS, and the next step faults them in again.
+# to the OS, and the next step faults them in again.  The factors stay in the
+# kernels' own form, so the chord loop's solves check nothing.
 lu_factor = linalg._factor_owned
+lu_solve = linalg._solve
 
 
 def _sole_local_refs() -> int:

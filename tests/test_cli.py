@@ -101,6 +101,12 @@ class TestSuite:
         for line in lines[1:]:
             assert len(line.split(",")) == 7
 
+    def test_default_grid_follows_the_registry(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: ["b", "e"])
+        code, out, _ = run_cli(capsys, "suite", "--format", "csv", "--ms", "1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["b", "e"]
+
     def test_table_renders_na_cell(self, capsys):
         code, out, _ = run_cli(capsys, "suite")
         assert code == 0

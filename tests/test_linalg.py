@@ -425,7 +425,7 @@ class TestSmallSystemProperties:
 
 @pytest.mark.parametrize("n", [2, 4, 31, 32])
 class TestSavedPivots:
-    """lu_factor keeps the factors in the form the solves' kernel reads, out of sight."""
+    """lu_factor's arrays hold the solver's factors; every solve checks the arrays it is given."""
 
     @staticmethod
     def system(n):
@@ -440,13 +440,12 @@ class TestSavedPivots:
     def test_read_only_and_zero_based(self, n):
         a = self.system(n)[0]
         factors = lu_factor(a)
-        lu, piv = factors._kernel
-        if n < LAPACK_MIN_N:
-            assert (lu, piv) == (factors.lu.tolist(), factors.piv.tolist())
-            return
-        # LAPACK reads the public arrays themselves: read-only, 0-based pivots
-        assert lu is factors.lu and piv is factors.piv
-        assert not lu.flags.writeable and not piv.flags.writeable
+        # the solver's factors: the loop's lists below LAPACK_MIN_N, getrf's arrays from it up
+        lu, piv, size = linalg._factor_owned(np.array(a, order="F"))
+        assert isinstance(lu, list) is isinstance(piv, list) is (n < LAPACK_MIN_N)
+        assert np.asarray(lu).tolist() == factors.lu.tolist() and size == factors.n == n
+        assert np.asarray(piv).tolist() == factors.piv.tolist()
+        assert not factors.lu.flags.writeable and not factors.piv.flags.writeable
         assert np.allclose(a[factors.perm], factors.lower @ factors.upper)
 
     @pytest.mark.parametrize("layout", ["kept", "C"])
@@ -482,53 +481,58 @@ class TestSavedPivots:
         a, b = self.system(n)
         factors = lu_factor(a)
         replaced = dataclasses.replace(lu_factor(np.eye(n)), lu=factors.lu, piv=factors.piv)
-        assert replaced._kernel is None
+        assert replaced == factors
         assert lu_solve(replaced, b).tobytes() == lu_solve(factors, b).tobytes()
 
     @pytest.mark.parametrize("copier", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
     def test_loop_lists_survive_copies(self, n, copier):
-        # the loop's view is Python lists, LAPACK's the arrays; copies keep both
+        # every solve reads the copy's own arrays, as lists below LAPACK_MIN_N
         for size in range(n, LAPACK_MIN_N) if n < LAPACK_MIN_N else [n]:
             a, b = self.system(size)
             factors = lu_factor(a)
-            assert "_kernel" not in repr(factors)
             expected = lu_solve(factors, b)
             duplicate = copier(factors)
-            (lu, piv), (lu_copy, piv_copy) = factors._kernel, duplicate._kernel
-            if size < LAPACK_MIN_N:
-                assert (lu, piv) == (factors.lu.tolist(), factors.piv.tolist())
-                assert (lu_copy, piv_copy) == (lu, piv) and lu_copy is not lu
-            else:
-                assert lu_copy is duplicate.lu and piv_copy is duplicate.piv
-            assert not duplicate.lu.flags.writeable and not duplicate.piv.flags.writeable
+            for name in ("lu", "piv"):
+                kept, copied = getattr(factors, name), getattr(duplicate, name)
+                assert copied.tobytes() == kept.tobytes() and copied.dtype == kept.dtype
+                assert not np.shares_memory(copied, kept)
             del factors
             gc.collect()
             assert lu_solve(duplicate, b).tobytes() == expected.tobytes()
             hand_built = LUFactors(duplicate.lu, duplicate.piv, size)
             assert lu_solve(hand_built, b).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "copier", ["copy.deepcopy", "lambda f: pickle.loads(pickle.dumps(f))"], ids=["deepcopy", "pickle"]
-    )
-    def test_copies_refuse_a_pivot_out_of_range(self, n, copier):
-        # LAPACK reads the view's pivots unchecked, so a write that reached it
-        # would kill the interpreter: run in a child process
+    @staticmethod
+    def assert_refused(n, make):
+        """A child writes 10**8 into piv of ``make(lu_factor(A))`` and solves:
+        a pivot out of range that reached LAPACK unchecked would kill it."""
         script = f"""
 import copy, pickle
 import numpy as np
 from shamanskii.linalg import lu_factor, lu_solve
-duplicate = ({copier})(lu_factor(np.random.default_rng({n}).uniform(-1.0, 1.0, ({n}, {n}))))
+factors = ({make})(lu_factor(np.random.default_rng({n}).uniform(-1.0, 1.0, ({n}, {n}))))
+factors.piv[0] = 10**8
 try:
-    duplicate.piv[0] = 10**8
+    print("solved:", lu_solve(factors, np.ones({n})))
 except ValueError as error:
     print("refused:", error)
-else:
-    print("solved:", lu_solve(duplicate, np.ones({n})))
 """
         src = os.path.dirname(os.path.dirname(linalg.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stdout) == (0, "refused: assignment destination is read-only\n")
+        assert done.returncode == 0, done.stderr
+        expected = fr"refused: piv must hold integers in 0\.\.{n - 1}, got int32 entries from \d+ to 100000000\n"
+        assert re.fullmatch(expected, done.stdout), done.stdout
+
+    @pytest.mark.parametrize(
+        "copier", ["copy.deepcopy", "lambda f: pickle.loads(pickle.dumps(f))"], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_refuse_a_pivot_out_of_range(self, n, copier):
+        # a copy's arrays are its own and writeable, as numpy copies them
+        self.assert_refused(n, copier)
+
+    def test_writes_after_setflags_refuse_a_pivot_out_of_range(self, n):
+        self.assert_refused(n, "lambda f: f.piv.setflags(write=True) or f")
 
 
 COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda f: pickle.loads(pickle.dumps(f))}
@@ -536,17 +540,20 @@ COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda f: pickle.loads(pickle.du
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 class TestLazyFactors:
-    """Below LAPACK_MIN_N lu_factor keeps the loop's lists; lu and piv wait for a read."""
+    """Below LAPACK_MIN_N lu_factor builds lu and piv from the loop's lists."""
 
     @staticmethod
-    def factors(n):
-        return lu_factor(np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n))
+    def matrix(n):
+        return np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+
+    @classmethod
+    def factors(cls, n):
+        return lu_factor(cls.matrix(n))
 
     @pytest.mark.parametrize("first", ["lu", "piv"])
     def test_first_access_builds_read_only_arrays(self, n, first):
         factors = self.factors(n)
-        assert "lu" not in vars(factors) and "piv" not in vars(factors)
-        rows, piv = copy.deepcopy(factors._kernel)
+        rows, piv, _ = linalg._factor_owned(self.matrix(n))
         getattr(factors, first)
         assert factors.lu is factors.lu and factors.piv is factors.piv
         expected = {"lu": np.array(rows), "piv": np.array(piv, dtype=np.int32)}
@@ -555,7 +562,6 @@ class TestLazyFactors:
             assert (built.dtype, built.shape) == (array.dtype, array.shape)
             assert built.tobytes() == array.tobytes()
             assert built.flags.c_contiguous and not built.flags.writeable
-        assert factors._kernel == (rows, piv)
 
     @pytest.mark.parametrize("accessed", [False, True])
     @pytest.mark.parametrize("copier", sorted(COPIERS))
@@ -563,14 +569,13 @@ class TestLazyFactors:
         factors = self.factors(n)
         b = np.arange(1.0, n + 1.0)
         if accessed:
-            factors.lu
+            lu_solve(factors, b)
         duplicate = COPIERS[copier](factors)
-        assert ("lu" in vars(duplicate)) is accessed
         assert lu_solve(duplicate, b).tobytes() == lu_solve(factors, b).tobytes()
         for name in ("lu", "piv"):
             built = getattr(duplicate, name)
             assert built.tobytes() == getattr(factors, name).tobytes()
-            assert not built.flags.writeable
+            assert not np.shares_memory(built, getattr(factors, name))
         assert repr(duplicate) == repr(factors)
 
     @pytest.mark.parametrize("accessed", [False, True])
@@ -578,15 +583,24 @@ class TestLazyFactors:
         factors = self.factors(n)
         b = np.arange(1.0, n + 1.0)
         if accessed:
-            factors.piv
+            lu_solve(factors, b)
         replaced = dataclasses.replace(factors, n=n)
-        assert replaced._kernel is None
         assert replaced.lu is factors.lu and replaced.piv is factors.piv
+        assert replaced == factors
         assert lu_solve(replaced, b).tobytes() == lu_solve(factors, b).tobytes()
         fresh = self.factors(n)
         assert fresh == fresh
         assert repr(fresh) == repr(LUFactors(fresh.lu, fresh.piv, n))
-        assert "_kernel" not in repr(fresh)
+        assert [f.name for f in dataclasses.fields(fresh)] == ["lu", "piv", "n"]
+
+    def test_a_write_to_lu_shows_in_the_next_solve(self, n):
+        factors = self.factors(n)
+        b = np.arange(1.0, n + 1.0)
+        before = lu_solve(factors, b)
+        factors.lu.setflags(write=True)
+        factors.lu[n - 1, n - 1] *= 2.0
+        # back substitution ends with x[n-1] = y[n-1] / U[n-1, n-1]
+        assert lu_solve(factors, b)[n - 1] == before[n - 1] / 2.0
 
     def test_other_names_still_raise(self, n):
         factors = self.factors(n)
@@ -794,11 +808,13 @@ class TestFactorOwned:
 def test_factor_owned_leaves_small_systems_alone(n):
     a = well_conditioned(n)
     before = a.copy()
-    factors = linalg._factor_owned(a)
+    lu, piv, size = linalg._factor_owned(a)
     assert np.array_equal(a, before)
     assert a.flags.writeable
-    assert not np.shares_memory(factors.lu, a)
-    assert factors.lu.tobytes() == lu_factor(before).lu.tobytes()
+    # the loop's own lists, which share no memory with a
+    assert type(lu) is type(piv) is list and size == n
+    expected = lu_factor(before)
+    assert (lu, piv) == (expected.lu.tolist(), expected.piv.tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -840,7 +856,7 @@ class TestShallowCopies:
     def test_factors_share_the_kernel_and_stay_read_only(self, n):
         factors = lu_factor(well_conditioned(n))
         duplicate = copy.copy(factors)
-        assert duplicate._kernel is factors._kernel
+        assert duplicate.lu is factors.lu and duplicate.piv is factors.piv
         assert not duplicate.lu.flags.writeable and not duplicate.piv.flags.writeable
         assert duplicate.lu.tobytes() == factors.lu.tobytes()
         assert duplicate.piv.tobytes() == factors.piv.tobytes()
