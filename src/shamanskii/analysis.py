@@ -103,7 +103,8 @@ def run_suite(problem_names, ms, config: SolverConfig | None = None) -> SuiteRep
     """
     cfg = config if config is not None else SolverConfig()
     names = tuple(problem_names)
-    m_values = tuple(int(m) for m in ms)
+    # SolverConfig rejects an m such as 1.5 or True before any cell runs
+    m_values = tuple(int(dataclasses.replace(cfg, m=m).m) for m in ms)
     cells = []
     for name in names:
         problem = registry_get(name)

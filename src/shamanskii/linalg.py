@@ -33,7 +33,8 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,25 +76,9 @@ def norm2(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-class _Lapack(NamedTuple):
-    """One LAPACK's kernels, on Fortran-ordered float64 arrays.
-
-    ``norm_inf(a)`` is the infinity norm of ``a``, summed as ``dlange`` sums
-    it; it is NaN or Inf, without a warning, when an entry is or a row sum
-    overflows.  ``getrf(a)`` factors ``a`` in place and returns ``(lu, piv)``
-    with 0-based int32 interchanges, as ``LUFactors`` keeps them.
-    ``getrs(lu, piv, b)`` overwrites ``b`` with the solution and returns it;
-    it never writes to ``piv``, so threads may share one set of factors.
-    """
-
-    norm_inf: Callable[[np.ndarray], float]
-    getrf: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    getrs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
 @functools.cache
-def _lapack() -> _Lapack:
-    """LAPACK from scipy's f2py extension ``_flapack``.
+def _lapack():
+    """scipy's f2py extension ``_flapack``, the module itself.
 
     The first factorization with ``n >= LAPACK_MIN_N`` loads it straight
     from its file, in about 5 ms and 2.5 MB; importing the ``scipy.linalg``
@@ -108,14 +93,7 @@ def _lapack() -> _Lapack:
         raise ImportError(f"scipy's LAPACK extension is required for n >= {LAPACK_MIN_N}")
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
-
-    # dgetrs shifts its pivots to 1-based and back in place with the GIL
-    # released, so each call gets its own copy.
-    return _Lapack(
-        norm_inf=lambda a: flapack.dlange("I", a),
-        getrf=lambda a: flapack.dgetrf(a, overwrite_a=True)[:2],
-        getrs=lambda lu, piv, b: flapack.dgetrs(lu, np.array(piv), b, overwrite_b=True)[0],
-    )
+    return flapack
 
 
 class _Factors(NamedTuple):
@@ -205,11 +183,12 @@ def _factor_owned(matrix) -> _Factors:
         flags = a.flags
         if not (flags.f_contiguous and flags.writeable and flags.aligned):
             a = np.array(a, order="F")
-        norm = lapack.norm_inf(a)
+        # NaN or Inf, without a warning, when an entry is or a row sum overflows
+        norm = lapack.dlange("I", a)
         if not math.isfinite(norm) and not np.isfinite(a).all():
             raise NonFiniteInput("matrix contains NaN or Inf entries")
         threshold = n * EPS * norm
-        a, piv = lapack.getrf(a)
+        a, piv, _ = lapack.dgetrf(a, overwrite_a=True)
         pivots = np.abs(a.diagonal())
         # a zero pivot does not stop getrf, so the columns after it may hold NaN
         bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
@@ -257,12 +236,15 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     of the iteration: each call costs O(n^2) against O(n^3) for the
     factorization itself.  The factors are checked before a kernel reads
     them: an ``lu`` that is not n x n or a ``piv`` of other than n entries
-    raises :class:`DimensionMismatch`, a pivot outside ``0..n-1`` or a
-    non-integer dtype ``ValueError``.
+    raises :class:`DimensionMismatch`; a non-integer ``n``, a pivot outside
+    ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``.
     """
+    n = factors.n
+    # (2,) == (2.0,), so a float n would pass every shape check below
+    if not isinstance(n, Integral):
+        raise ValueError(f"factors.n must be an integer, got {n!r}")
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(b, dtype=np.float64)
-    n = factors.n
     if x.shape != (n,) or not n:
         if x.ndim != 1 or x.size == 0:
             raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
@@ -289,7 +271,9 @@ def _solve(factors: _Factors, x: np.ndarray) -> np.ndarray:
     of length n, with no checks."""
     lu, piv, n = factors
     if n >= LAPACK_MIN_N:
-        return _lapack().getrs(lu, piv, np.array(x))
+        # dgetrs shifts its pivots to 1-based and back in place with the GIL
+        # released, so each call gets its own copy
+        return _lapack().dgetrs(lu, np.array(piv), np.array(x), overwrite_b=True)[0]
     xs = x.tolist()
     # Each row's dot product is summed before it is subtracted, as the
     # vectorised substitution did.  Interchange i only moves entries at i

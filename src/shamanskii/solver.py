@@ -42,7 +42,11 @@ lu_solve = linalg._solve
 
 def _sole_local_refs() -> int:
     # sys.getrefcount of an array one local alone refers to: it counts its own
-    # argument, and an interpreter that borrows stack references counts fewer
+    # argument, and an interpreter that borrows stack references counts fewer.
+    # A free-threaded build counts in ways not checked here, so every Jacobian
+    # there is copied: no count is <= 0.
+    if hasattr(sys, "_is_gil_enabled") and not sys._is_gil_enabled():
+        return 0
     jac = np.empty(0)
     return sys.getrefcount(jac)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shamanskii import analysis
 from shamanskii.analysis import estimate_coc, run_suite
 from shamanskii.problems import registry_get
 from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace, solve
@@ -124,3 +125,16 @@ class TestRunSuite:
         assert cell.status is SolveStatus.MAX_ITERATIONS
         assert cell.rho is None
         assert not report.all_converged
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0, "2"])
+    def test_invalid_m_rejected_before_any_solve(self, bad, monkeypatch):
+        solved = []
+        monkeypatch.setattr(analysis, "solve", lambda problem, cfg: solved.append(cfg))
+        with pytest.raises(ValueError, match="^m must be a positive integer$"):
+            run_suite(["b"], [1, bad])
+        assert solved == []
+
+    def test_numpy_integer_m_stored_as_int(self):
+        report = run_suite(["b"], [np.int64(2)])
+        assert type(report.ms[0]) is int and type(report.cells[0].m) is int
+        assert report.cell("b", 2) == run_suite(["b"], [2]).cells[0]

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import importlib.util
 import os
 import pickle
 import re
@@ -325,6 +326,13 @@ class TestDispatch:
         monkeypatch.setattr(linalg, "_lapack", lambda: calls.append(n) or loader())
         lu_solve(lu_factor(np.eye(n)), np.ones(n))
         assert calls == [n, n]
+
+    def test_loader_without_scipy_names_the_band(self, monkeypatch):
+        cached = linalg._lapack.cache_info()
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        with pytest.raises(ImportError, match=f"required for n >= {LAPACK_MIN_N}$"):
+            linalg._lapack.__wrapped__()
+        assert linalg._lapack.cache_info() == cached
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -671,6 +679,21 @@ class TestHandBuiltFactors:
         factors = self.factors(n)
         with pytest.raises(ValueError, match="got float64 entries"):
             lu_solve(LUFactors(factors.lu, factors.piv.astype(np.float64), n), np.ones(n))
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_float_n_raises(self, n, kind):
+        # its shapes all fit: (n,) == (float(n),)
+        factors = self.factors(n)
+        message = fr"^factors\.n must be an integer, got {re.escape(repr(kind(n)))}$"
+        with pytest.raises(ValueError, match=message):
+            lu_solve(LUFactors(factors.lu, factors.piv, kind(n)), np.ones(n))
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
+    def test_numpy_integer_n_solves(self, n, kind):
+        factors = self.factors(n)
+        b = np.arange(1.0, n + 1.0)
+        x = lu_solve(LUFactors(factors.lu, factors.piv, kind(n)), b)
+        assert x.tobytes() == lu_solve(factors, b).tobytes()
 
 
 class TestCheapChecks:

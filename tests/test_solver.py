@@ -10,6 +10,7 @@ import sys
 import textwrap
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -679,6 +680,35 @@ class TestJacobianOwnership:
         assert_same_run(solve(problem, cfg), expected)
         assert all(lu != jac for lu, jac in zip(lus, returned, strict=True))
 
+    @pytest.mark.parametrize("trusted", [True, False])
+    def test_fresh_jacobian_in_place_only_when_the_count_is_trusted(
+        self, n, trusted, monkeypatch
+    ):
+        if not trusted:
+            # what _sole_local_refs() gives on a free-threaded build
+            monkeypatch.setattr(solver_mod, "_SOLE_LOCAL_REFS", 0)
+        d = cyclic_problem(n)
+        expected = solve(d, SolverConfig(m=2))
+        # weak references, so that nothing here adds to the count tested
+        returned = []
+
+        def jacobian(x):
+            jac = d.jacobian(x)
+            returned.append(weakref.ref(jac))
+            return jac
+
+        in_place = []
+        real_factor = solver_mod.lu_factor
+
+        def recording_factor(matrix):
+            in_place.append(any(ref() is matrix for ref in returned))
+            return real_factor(matrix)
+
+        monkeypatch.setattr(solver_mod, "lu_factor", recording_factor)
+        trace = solve(dataclasses.replace(d, jacobian=jacobian), SolverConfig(m=2))
+        assert_same_run(trace, expected)
+        assert in_place == [trusted] * trace.it_inv
+
     def test_stored_jacobian_is_left_alone(self, n):
         d = cyclic_problem(n)
         stored = d.jacobian(d.start)
@@ -715,6 +745,12 @@ class TestJacobianOwnership:
         assert_same_run(trace, solve(d, SolverConfig(m=2)))
         assert buffer.flags.writeable
         assert np.array_equal(buffer, d.jacobian(points[-1]))
+
+
+@pytest.mark.parametrize("gil", [True, False])
+def test_free_threaded_build_trusts_no_reference_count(gil, monkeypatch):
+    monkeypatch.setattr(sys, "_is_gil_enabled", lambda: gil, raising=False)
+    assert solver_mod._sole_local_refs() == (solver_mod._SOLE_LOCAL_REFS if gil else 0)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
