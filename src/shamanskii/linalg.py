@@ -4,16 +4,19 @@ LU factorization with partial (row) pivoting plus the triangular solves and
 the Euclidean norm the nonlinear iteration needs, on plain float64 numpy
 arrays.  Two size bands each use the kernel that is fastest for them:
 
-* ``n <= 3`` (problems a, b, c and e): an elimination loop on Python
-  floats.  At this size the cost is per-call overhead, not arithmetic, so
-  the loop reads the matrix once with ``tolist()`` instead of making a
-  numpy call per element; that halves a 2x2 or 3x3 factorization and
-  solve.  A LAPACK call costs more still, and LAPACK scales by the
+* ``n <= 3`` (problems a, b, c and e): straight-line kernels on Python
+  floats, one for each n.  At this size the cost is per-call overhead, not
+  arithmetic, so a kernel reads the matrix once with ``tolist()`` and works
+  on named locals, with no loop, index or list update; that more than
+  halves a 2x2 or 3x3 factorization and solve against a generic loop on the
+  same floats.  A LAPACK call costs more still, and LAPACK scales by the
   reciprocal of the pivot, which rounds differently and changes the outcome
-  of some runs started far from a root.  The loop rounds as the
-  numpy-vectorised loop it replaced did, with one exception: that loop's
-  two-term dot product at n = 3 went to BLAS, which may fuse it into one
-  FMA, so an n = 3 solution can differ from it in the last bit.
+  of some runs started far from a root.  The kernels make the generic
+  loop's float operations in its order, so they give its bits; the tests
+  keep that loop as their oracle.  They round as the numpy-vectorised loop
+  before it did, with one exception: that loop's two-term dot product at
+  n = 3 went to BLAS, which may fuse it into one FMA, so an n = 3 solution
+  can differ from it in the last bit.
 * ``n >= LAPACK_MIN_N`` (problem d, n = 31, and its scaled versions):
   ``dgetrf``, ``dgetrs`` and ``dlange`` from scipy's LAPACK.  Loading it
   maps a second BLAS, about 3 MB, which runs at n <= 3 never pay for.
@@ -52,8 +55,8 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Smallest n factored by LAPACK; the elimination loop takes smaller n, where
-# a LAPACK call costs more than the whole loop.
+# Smallest n factored by LAPACK; straight-line kernels take smaller n, where
+# a LAPACK call costs more than the whole kernel.
 LAPACK_MIN_N = 4
 
 
@@ -70,8 +73,13 @@ class SingularMatrix(ArithmeticError):
 
 
 def norm2(v) -> float:
-    """Euclidean norm sqrt(sum(v_i**2)); NaN entries propagate to the result."""
+    """Euclidean norm sqrt(sum(v_i**2)); NaN entries propagate to the result.
+
+    A 2-D or higher ``v`` raises :class:`DimensionMismatch`.
+    """
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim > 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     # ndarray.dot is np.dot without its __array_function__ dispatch
     return math.sqrt(v.dot(v))
 
@@ -97,7 +105,7 @@ def _lapack():
 
 
 class _Factors(NamedTuple):
-    """Factors as :func:`_solve` reads them, unchecked: the elimination loop's
+    """Factors as :func:`_solve` reads them, unchecked: the small kernels'
     Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up."""
 
     lu: list | np.ndarray
@@ -149,6 +157,13 @@ def _singular(pivot: float, threshold: float, column: int) -> SingularMatrix:
     )
 
 
+def _check_finite(a: np.ndarray) -> None:
+    """Raise :class:`NonFiniteInput` if ``a`` has a NaN or Inf entry; called
+    only once a row sum is not finite, which finite entries can also cause."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("matrix contains NaN or Inf entries")
+
+
 def lu_factor(matrix) -> LUFactors:
     """Factor a square matrix as ``P A = L U`` with partial pivoting.
 
@@ -185,8 +200,8 @@ def _factor_owned(matrix) -> _Factors:
             a = np.array(a, order="F")
         # NaN or Inf, without a warning, when an entry is or a row sum overflows
         norm = lapack.dlange("I", a)
-        if not math.isfinite(norm) and not np.isfinite(a).all():
-            raise NonFiniteInput("matrix contains NaN or Inf entries")
+        if not math.isfinite(norm):
+            _check_finite(a)
         threshold = n * EPS * norm
         a, piv, _ = lapack.dgetrf(a, overwrite_a=True)
         pivots = np.abs(a.diagonal())
@@ -197,35 +212,7 @@ def _factor_owned(matrix) -> _Factors:
             raise _singular(pivots[k], threshold, k)
         a.setflags(write=False)
         return _Factors(a, piv, n)
-    rows = a.tolist()
-    # row sums left to right, as numpy's reduction adds up short rows; a
-    # sum is finite unless an entry is NaN or Inf or the entries overflow it
-    norm = 0.0
-    for row in rows:
-        total = 0.0
-        for v in row:
-            total += abs(v)
-        if not math.isfinite(total) and not all(map(math.isfinite, row)):
-            raise NonFiniteInput("matrix contains NaN or Inf entries")
-        norm = max(norm, total)
-    threshold = n * EPS * norm
-    piv = []
-    for k in range(n):
-        # the first entry of largest magnitude, as np.argmax picks it
-        p, pivot = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > pivot:
-                p, pivot = i, abs(rows[i][k])
-        if pivot < threshold or pivot == 0.0:
-            raise _singular(pivot, threshold, k)
-        piv.append(p)
-        rows[k], rows[p] = rows[p], rows[k]
-        top = rows[k]
-        for row in rows[k + 1 :]:
-            row[k] = l = row[k] / top[k]
-            for j in range(k + 1, n):
-                row[j] -= l * top[j]
-    return _Factors(rows, piv, n)
+    return _FACTOR_KERNELS[n](a)
 
 
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
@@ -274,19 +261,138 @@ def _solve(factors: _Factors, x: np.ndarray) -> np.ndarray:
         # dgetrs shifts its pivots to 1-based and back in place with the GIL
         # released, so each call gets its own copy
         return _lapack().dgetrs(lu, np.array(piv), np.array(x), overwrite_b=True)[0]
-    xs = x.tolist()
-    # Each row's dot product is summed before it is subtracted, as the
-    # vectorised substitution did.  Interchange i only moves entries at i
-    # and after, so xs[i] is final at step i.
-    for i, p in enumerate(piv):
-        xs[i], xs[p] = xs[p], xs[i]
-        row, dot = lu[i], 0.0
-        for j in range(i):
-            dot += row[j] * xs[j]
-        xs[i] -= dot
-    for i in range(n - 1, -1, -1):
-        row, dot = lu[i], 0.0
-        for j in range(i + 1, n):
-            dot += row[j] * xs[j]
-        xs[i] = (xs[i] - dot) / row[i]
-    return np.array(xs)
+    return _SOLVE_KERNELS[n](lu, piv, x.tolist())
+
+
+# The kernels below n = LAPACK_MIN_N: elimination with partial pivoting and
+# the substitutions, written out for each n.  Each makes the float operations
+# of the generic loop on Python floats that they replaced, in its order, so
+# they give the same bits, pivots and exceptions:
+# * row sums add left to right, as numpy's reduction adds up short rows, and
+#   the first largest is the norm, as max() picks it (written out, as a
+#   call to max() costs as much as the rest of the norm); 0.0 + |v| is |v|,
+#   so the loop's 0.0 seed of a row sum is left out;
+# * the pivot is the first entry of largest magnitude, as np.argmax picks it,
+#   and a pivot below n * eps * norm_inf(A), or zero, raises for its column;
+# * every dot product of the substitutions starts from the loop's 0.0, which
+#   turns a leading -0.0 into 0.0; an empty one is left out, as x - 0.0 is x.
+# The interchanges run in the loop's order too: the factors always end with
+# the last row's own index, but lu_solve also accepts hand-built pivots.
+
+
+def _factor1(a: np.ndarray) -> _Factors:
+    ((a00,),) = a.tolist()
+    pivot = abs(a00)
+    if not math.isfinite(pivot):
+        _check_finite(a)
+    threshold = EPS * pivot
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 0)
+    return _Factors([[a00]], [0], 1)
+
+
+def _factor2(a: np.ndarray) -> _Factors:
+    (a00, a01), (a10, a11) = a.tolist()
+    t0, t1 = abs(a00) + abs(a01), abs(a10) + abs(a11)
+    # a sum is finite unless an entry is NaN or Inf or the entries overflow it
+    if not math.isfinite(t0 + t1):
+        _check_finite(a)
+    threshold = 2 * EPS * (t1 if t1 > t0 else t0)
+    p0, pivot = 0, abs(a00)
+    if abs(a10) > pivot:
+        p0, pivot = 1, abs(a10)
+        a00, a01, a10, a11 = a10, a11, a00, a01
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 0)
+    l10 = a10 / a00
+    a11 -= l10 * a01
+    pivot = abs(a11)
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 1)
+    return _Factors([[a00, a01], [l10, a11]], [p0, 1], 2)
+
+
+def _factor3(a: np.ndarray) -> _Factors:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    t0 = abs(a00) + abs(a01) + abs(a02)
+    t1 = abs(a10) + abs(a11) + abs(a12)
+    t2 = abs(a20) + abs(a21) + abs(a22)
+    if not math.isfinite(t0 + t1 + t2):
+        _check_finite(a)
+    norm = t1 if t1 > t0 else t0
+    threshold = 3 * EPS * (t2 if t2 > norm else norm)
+    p0, pivot = 0, abs(a00)
+    if abs(a10) > pivot:
+        p0, pivot = 1, abs(a10)
+    if abs(a20) > pivot:
+        p0, pivot = 2, abs(a20)
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 0)
+    if p0 == 1:
+        a00, a01, a02, a10, a11, a12 = a10, a11, a12, a00, a01, a02
+    elif p0 == 2:
+        a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+    l10 = a10 / a00
+    a11 -= l10 * a01
+    a12 -= l10 * a02
+    l20 = a20 / a00
+    a21 -= l20 * a01
+    a22 -= l20 * a02
+    p1, pivot = 1, abs(a11)
+    if abs(a21) > pivot:
+        p1, pivot = 2, abs(a21)
+        l10, a11, a12, l20, a21, a22 = l20, a21, a22, l10, a11, a12
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 1)
+    l21 = a21 / a11
+    a22 -= l21 * a12
+    pivot = abs(a22)
+    if pivot < threshold or pivot == 0.0:
+        raise _singular(pivot, threshold, 2)
+    return _Factors([[a00, a01, a02], [l10, a11, a12], [l20, l21, a22]], [p0, p1, 2], 3)
+
+
+def _solve1(lu: list, piv: list, b: list) -> np.ndarray:
+    ((u00,),) = lu
+    (x0,) = b
+    return np.array([x0 / u00])
+
+
+def _solve2(lu: list, piv: list, b: list) -> np.ndarray:
+    (u00, u01), (l10, u11) = lu
+    p0, p1 = piv
+    x0, x1 = b
+    if p0 == 1:
+        x0, x1 = x1, x0
+    if p1 == 0:
+        x0, x1 = x1, x0
+    x1 -= 0.0 + l10 * x0
+    x1 /= u11
+    return np.array([(x0 - (0.0 + u01 * x1)) / u00, x1])
+
+
+def _solve3(lu: list, piv: list, b: list) -> np.ndarray:
+    (u00, u01, u02), (l10, u11, u12), (l20, l21, u22) = lu
+    p0, p1, p2 = piv
+    x0, x1, x2 = b
+    if p0 == 1:
+        x0, x1 = x1, x0
+    elif p0 == 2:
+        x0, x2 = x2, x0
+    if p1 == 0:
+        x1, x0 = x0, x1
+    elif p1 == 2:
+        x1, x2 = x2, x1
+    x1 -= 0.0 + l10 * x0
+    if p2 == 0:
+        x2, x0 = x0, x2
+    elif p2 == 1:
+        x2, x1 = x1, x2
+    x2 -= (0.0 + l20 * x0) + l21 * x1
+    x2 /= u22
+    x1 = (x1 - (0.0 + u12 * x2)) / u11
+    return np.array([(x0 - ((0.0 + u01 * x1) + u02 * x2)) / u00, x1, x2])
+
+
+_FACTOR_KERNELS = {1: _factor1, 2: _factor2, 3: _factor3}
+_SOLVE_KERNELS = {1: _solve1, 2: _solve2, 3: _solve3}

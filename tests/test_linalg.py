@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import importlib.util
+import math
 import os
 import pickle
 import re
@@ -429,6 +430,181 @@ class TestSmallSystemProperties:
     def test_bounds_hold_on_both_sides_of_lapack_min_n(self, system):
         # the body above, on the loop at n = 3 and on LAPACK from n = 4
         self.test_factor_meets_bounds_or_raises.hypothesis.inner_test(self, system)
+
+
+def loop_factor(a):
+    """``(rows, piv)`` of a float64 n x n ``a``, n <= 3, by the generic
+    elimination loop on Python floats that the straight-line kernels replaced,
+    verbatim; it raises as ``lu_factor`` does."""
+    n = a.shape[0]
+    rows = a.tolist()
+    # row sums left to right, as numpy's reduction adds up short rows; a
+    # sum is finite unless an entry is NaN or Inf or the entries overflow it
+    norm = 0.0
+    for row in rows:
+        total = 0.0
+        for v in row:
+            total += abs(v)
+        if not math.isfinite(total) and not all(map(math.isfinite, row)):
+            raise NonFiniteInput("matrix contains NaN or Inf entries")
+        norm = max(norm, total)
+    threshold = n * EPS * norm
+    piv = []
+    for k in range(n):
+        # the first entry of largest magnitude, as np.argmax picks it
+        p, pivot = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > pivot:
+                p, pivot = i, abs(rows[i][k])
+        if pivot < threshold or pivot == 0.0:
+            raise linalg._singular(pivot, threshold, k)
+        piv.append(p)
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k] = l = row[k] / top[k]
+            for j in range(k + 1, n):
+                row[j] -= l * top[j]
+    return rows, piv
+
+
+def loop_solve(lu, piv, x):
+    """The generic loop's solve of ``A x = b`` from :func:`loop_factor`'s
+    factors (or any lists of that shape, pivots in 0..n-1), verbatim."""
+    n = len(piv)
+    xs = x.tolist()
+    # Each row's dot product is summed before it is subtracted, as the
+    # vectorised substitution did.  Interchange i only moves entries at i
+    # and after, so xs[i] is final at step i.
+    for i, p in enumerate(piv):
+        xs[i], xs[p] = xs[p], xs[i]
+        row, dot = lu[i], 0.0
+        for j in range(i):
+            dot += row[j] * xs[j]
+        xs[i] -= dot
+    for i in range(n - 1, -1, -1):
+        row, dot = lu[i], 0.0
+        for j in range(i + 1, n):
+            dot += row[j] * xs[j]
+        xs[i] = (xs[i] - dot) / row[i]
+    return np.array(xs)
+
+
+def assert_raises_as(expected, fn, *args):
+    """``fn(*args)`` raises an exception of ``expected``'s type and message."""
+    with pytest.raises(type(expected)) as info:
+        fn(*args)
+    assert type(info.value) is type(expected) and str(info.value) == str(expected)
+
+
+# -0.0, subnormals, the largest finite magnitudes, Inf and NaN
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan)
+entries = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def kernel_systems(draw):
+    """``(a, b)``, n in 1..3: ``b`` has any entries, and ``a`` is of one of five
+    kinds: any entries; small integers and signed zeros, whose pivots tie;
+    finite rows whose sums overflow; a finite matrix with NaN or Inf in a drawn
+    row; a pivot exactly on the threshold ``n * eps * norm_inf(A)``, or one ulp
+    under it."""
+    n = draw(st.integers(1, 3))
+
+    def vector(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    kind = draw(st.sampled_from(["entries", "ties", "overflow", "bad_row", "threshold"]))
+    if kind == "entries":
+        a = vector(entries, n * n).reshape(n, n)
+    elif kind == "ties":
+        a = vector(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), n * n).reshape(n, n)
+    elif kind == "overflow":
+        a = vector(st.floats(-4.0, 4.0), n * n).reshape(n, n)
+        a[draw(st.integers(0, n - 1))] = vector(st.sampled_from([1e308, -1e308, 1.5e308]), n)
+    elif kind == "bad_row":
+        a = vector(st.floats(-4.0, 4.0), n * n).reshape(n, n)
+        a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    else:
+        # upper triangular, so elimination leaves the diagonal as it is, with
+        # its rows shuffled, so that pivoting has to find them again; row k
+        # holds only its pivot, so the other rows set the norm
+        k = draw(st.integers(0, n - 1))
+        a = np.triu(vector(st.sampled_from([-2.0, -1.0, 1.0, 2.0]), n * n).reshape(n, n))
+        a[k, k + 1 :] = 0.0
+        norm = max((np.abs(a[i]).sum() for i in range(n) if i != k), default=1.0)
+        a[k, k] = n * EPS * norm
+        if draw(st.booleans()):
+            a[k, k] = np.nextafter(a[k, k], 0.0)
+        a = a[draw(st.permutations(range(n)))]
+    return a, vector(entries, n)
+
+
+def hand_built_systems(n):
+    """``(lu, piv, b)`` as lists, as hand-built factors may hold them: any
+    entries, zeros on the diagonal too, and any pivots in 0..n-1."""
+    return st.tuples(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n),
+    )
+
+
+# The loop's 0.0 seed of each dot product turns a leading product -0.0 into
+# 0.0.  lu_factor([[1, 0], [-0.0, 1]]) leaves l = -0.0 and u01 = 0.0, and with
+# the seed x is [-0., -0.].  At n = 3 each of the four seeds meets an all -0.0
+# dot product under one of these right-hand sides.
+SIGNED_ZERO_3 = np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [-0.0, -0.0, 1.0]])
+SIGNED_ZEROS = [
+    (np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([-0.0, -0.0])),
+    (SIGNED_ZERO_3, np.array([0.0, -0.0, -0.0])),
+    (SIGNED_ZERO_3, np.array([0.0, 0.0, -0.0])),
+    (SIGNED_ZERO_3, np.array([-0.0, 0.0, -0.0])),
+]
+
+
+class TestKernelsMatchTheLoop:
+    """The straight-line n <= 3 kernels give the generic loop's bits and errors."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kernel_systems())
+    @example(SIGNED_ZEROS[0])
+    @example(SIGNED_ZEROS[1])
+    @example(SIGNED_ZEROS[2])
+    @example(SIGNED_ZEROS[3])
+    def test_factor_and_solve(self, system):
+        a, b = system
+        try:
+            rows, piv = loop_factor(a.copy())
+        except (NonFiniteInput, SingularMatrix) as exc:
+            assert_raises_as(exc, linalg._factor_owned, np.asfortranarray(a))
+            assert_raises_as(exc, lu_factor, a)
+            return
+        factors = linalg._factor_owned(np.asfortranarray(a))
+        assert type(factors.lu) is list and factors.n == a.shape[0]
+        assert np.array(factors.lu).tobytes() == np.array(rows).tobytes()
+        assert factors.piv == piv
+        x = linalg._solve(factors, b)
+        assert x.tobytes() == loop_solve(rows, piv, b).tobytes()
+        assert lu_solve(lu_factor(a), b).tobytes() == x.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(hand_built_systems))
+    def test_solve_with_hand_built_factors(self, system):
+        lu, piv, b = system
+        n, b = len(piv), np.array(b)
+        public = LUFactors(np.array(lu), np.array(piv, dtype=np.int32), n)
+        try:
+            expected = loop_solve(lu, piv, b)
+        except ZeroDivisionError as exc:
+            assert_raises_as(exc, linalg._solve, linalg._Factors(lu, piv, n), b)
+            assert_raises_as(exc, lu_solve, public, b)
+            return
+        assert linalg._solve(linalg._Factors(lu, piv, n), b).tobytes() == expected.tobytes()
+        assert lu_solve(public, b).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 4, 31, 32])
@@ -899,6 +1075,11 @@ class TestNorm2:
 
     def test_nan_propagates(self):
         assert np.isnan(norm2([1.0, np.nan]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (1, 2, 2)])
+    def test_matrix_raises_naming_its_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+            norm2(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])

@@ -38,6 +38,7 @@ from shamanskii.solver import (
     outer_step,
     solve,
 )
+from test_linalg import loop_factor, loop_solve
 
 ALL_M = (1, 2, 3, 4)
 
@@ -654,6 +655,42 @@ def test_small_systems_never_build_lu_or_piv(name, m, monkeypatch):
     assert trace.converged and len(made) == trace.it_inv
     assert all(type(f.lu) is type(f.piv) is list for f in made)
     assert all(np.shape(f.lu) == (f.n, f.n) for f in made)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SolverConfig(), SolverConfig(inner_early_exit=True, record_inner=True)],
+    ids=["default", "early_exit_recorded"],
+)
+def test_small_kernels_run_as_the_generic_loop(config, monkeypatch):
+    # a, b, c and e from random starts, near their start points and ten times
+    # as far out, so that failures are compared as well as converged runs
+    rng = np.random.default_rng(19)
+    runs = []
+    for name in "abce":
+        problem = registry_get(name)
+        for spread in (1.0, 10.0):
+            for _ in range(15):
+                offset = spread * rng.uniform(-1.0, 1.0, problem.start.size)
+                start = dataclasses.replace(problem, start=problem.start + offset)
+                runs += [(start, dataclasses.replace(config, m=m)) for m in ALL_M]
+    kernels = [solve(problem, cfg) for problem, cfg in runs]
+    monkeypatch.setattr(solver_mod, "lu_factor", lambda a: loop_factor(np.asarray(a)))
+    monkeypatch.setattr(solver_mod, "lu_solve", lambda factors, x: loop_solve(*factors, x))
+    loops = [solve(problem, cfg) for problem, cfg in runs]
+    for ours, theirs in zip(kernels, loops, strict=True):
+        assert ours.status is theirs.status
+        assert (ours.it_inv, ours.it_tot) == (theirs.it_inv, theirs.it_tot)
+        # bytes, so that NaN norms compare equal
+        assert np.array(ours.residual_norms).tobytes() == np.array(theirs.residual_norms).tobytes()
+        assert type(ours.cause) is type(theirs.cause) and str(ours.cause) == str(theirs.cause)
+        for x, y in (
+            *zip(ours.outer_iterates, theirs.outer_iterates, strict=True),
+            *zip(ours.inner_iterates or [], theirs.inner_iterates or [], strict=True),
+        ):
+            assert x.tobytes() == y.tobytes()
+        assert (ours.inner_iterates is None) is (theirs.inner_iterates is None)
+    assert {trace.status for trace in kernels} == set(SolveStatus)
 
 
 @pytest.mark.parametrize("n", [31, 301])
