@@ -21,8 +21,9 @@ arrays.  Two size bands each use the kernel that is fastest for them:
   ``dgetrf``, ``dgetrs`` and ``dlange`` from scipy's LAPACK.  Loading it
   maps a second BLAS, about 3 MB, which runs at n <= 3 never pay for.
 
-Both bands produce the same packed factors and keep the same checks:
-shapes, non-finite input, the singularity threshold and an unmodified input.
+Both bands produce the same packed factors, read ``piv`` the same way and
+keep the same checks: shapes, non-finite input, the singularity threshold and
+an unmodified input.
 Each band scans for NaN and Inf entries only when ``norm_inf(A)`` is not
 finite; finite entries whose row sum overflows give an infinite threshold,
 which no pivot meets.  ``solve`` checks its start point once, at its
@@ -218,13 +219,15 @@ def _factor_owned(matrix) -> _Factors:
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
     """Solve ``A x = b`` using precomputed factors of ``A``.
 
-    Applies the row interchanges to ``b``, then forward and back substitution.
-    Reusing one factorization across many right-hand sides is the cheap part
-    of the iteration: each call costs O(n^2) against O(n^3) for the
+    Swaps row ``k`` of ``b`` with row ``piv[k]`` for k = 0..n-1 in turn, then
+    makes the forward and back substitutions, as LAPACK's ``getrs`` does, at
+    every n.  Reusing one factorization across many right-hand sides is the
+    cheap part of the iteration: each call costs O(n^2) against O(n^3) for the
     factorization itself.  The factors are checked before a kernel reads
     them: an ``lu`` that is not n x n or a ``piv`` of other than n entries
     raises :class:`DimensionMismatch`; a non-integer ``n``, a pivot outside
-    ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``.
+    ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``; a zero on
+    the diagonal of ``U`` raises :class:`SingularMatrix` naming the first.
     """
     n = factors.n
     # (2,) == (2.0,), so a float n would pass every shape check below
@@ -249,6 +252,10 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
             f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
             f"from {piv.min()} to {piv.max()}"
         )
+    # else ZeroDivisionError below LAPACK_MIN_N and Inf or NaN from getrs
+    diagonal = lu.diagonal().tolist()
+    if 0.0 in diagonal:
+        raise SingularMatrix(f"zero on the diagonal of U at column {diagonal.index(0.0)}")
     kernel = (lu, piv) if n >= LAPACK_MIN_N else (lu.tolist(), pivots)
     return _solve(_Factors(*kernel, n), x)
 
@@ -276,8 +283,8 @@ def _solve(factors: _Factors, x: np.ndarray) -> np.ndarray:
 #   and a pivot below n * eps * norm_inf(A), or zero, raises for its column;
 # * every dot product of the substitutions starts from the loop's 0.0, which
 #   turns a leading -0.0 into 0.0; an empty one is left out, as x - 0.0 is x.
-# The interchanges run in the loop's order too: the factors always end with
-# the last row's own index, but lu_solve also accepts hand-built pivots.
+# A solve makes all the row interchanges in order, on the list _solve made
+# for it, before it substitutes, as getrs does; so both bands read piv alike.
 
 
 def _factor1(a: np.ndarray) -> _Factors:
@@ -361,11 +368,9 @@ def _solve1(lu: list, piv: list, b: list) -> np.ndarray:
 def _solve2(lu: list, piv: list, b: list) -> np.ndarray:
     (u00, u01), (l10, u11) = lu
     p0, p1 = piv
+    b[0], b[p0] = b[p0], b[0]
+    b[1], b[p1] = b[p1], b[1]
     x0, x1 = b
-    if p0 == 1:
-        x0, x1 = x1, x0
-    if p1 == 0:
-        x0, x1 = x1, x0
     x1 -= 0.0 + l10 * x0
     x1 /= u11
     return np.array([(x0 - (0.0 + u01 * x1)) / u00, x1])
@@ -374,20 +379,11 @@ def _solve2(lu: list, piv: list, b: list) -> np.ndarray:
 def _solve3(lu: list, piv: list, b: list) -> np.ndarray:
     (u00, u01, u02), (l10, u11, u12), (l20, l21, u22) = lu
     p0, p1, p2 = piv
+    b[0], b[p0] = b[p0], b[0]
+    b[1], b[p1] = b[p1], b[1]
+    b[2], b[p2] = b[p2], b[2]
     x0, x1, x2 = b
-    if p0 == 1:
-        x0, x1 = x1, x0
-    elif p0 == 2:
-        x0, x2 = x2, x0
-    if p1 == 0:
-        x1, x0 = x0, x1
-    elif p1 == 2:
-        x1, x2 = x2, x1
     x1 -= 0.0 + l10 * x0
-    if p2 == 0:
-        x2, x0 = x0, x2
-    elif p2 == 1:
-        x2, x1 = x1, x2
     x2 -= (0.0 + l20 * x0) + l21 * x1
     x2 /= u22
     x1 = (x1 - (0.0 + u12 * x2)) / u11

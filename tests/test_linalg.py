@@ -470,14 +470,17 @@ def loop_factor(a):
 
 def loop_solve(lu, piv, x):
     """The generic loop's solve of ``A x = b`` from :func:`loop_factor`'s
-    factors (or any lists of that shape, pivots in 0..n-1), verbatim."""
+    factors (or any lists of that shape, pivots in 0..n-1)."""
     n = len(piv)
     xs = x.tolist()
-    # Each row's dot product is summed before it is subtracted, as the
-    # vectorised substitution did.  Interchange i only moves entries at i
-    # and after, so xs[i] is final at step i.
+    # Every interchange comes first, in order, as LAPACK's getrs makes them.
+    # Swapping at step i instead makes the same float operations only while
+    # every piv[i] >= i, as lu_factor's pivots are.
     for i, p in enumerate(piv):
         xs[i], xs[p] = xs[p], xs[i]
+    # Each row's dot product is summed before it is subtracted, as the
+    # vectorised substitution did.
+    for i in range(n):
         row, dot = lu[i], 0.0
         for j in range(i):
             dot += row[j] * xs[j]
@@ -601,10 +604,59 @@ class TestKernelsMatchTheLoop:
             expected = loop_solve(lu, piv, b)
         except ZeroDivisionError as exc:
             assert_raises_as(exc, linalg._solve, linalg._Factors(lu, piv, n), b)
-            assert_raises_as(exc, lu_solve, public, b)
+            # lu_solve checks the diagonal of U before a kernel divides by it
+            column = next(k for k in range(n) if lu[k][k] == 0.0)
+            with pytest.raises(SingularMatrix, match=fr"at column {column}$"):
+                lu_solve(public, b)
             return
         assert linalg._solve(linalg._Factors(lu, piv, n), b).tobytes() == expected.tobytes()
         assert lu_solve(public, b).tobytes() == expected.tobytes()
+
+
+@st.composite
+def pivoted_factors(draw):
+    """``(lower, upper, piv, b)``, n in 1..5, so both bands: a unit lower ``L``
+    and an upper ``U`` with entries in [-1, 1] off the diagonal and n or -n on
+    it, so that U is well conditioned, and any pivots in 0..n-1, ``piv[k] < k``
+    among them."""
+    n = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0)
+
+    def vector(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    lower = np.tril(vector(unit, n * n).reshape(n, n), -1) + np.eye(n)
+    upper = np.triu(vector(unit, n * n).reshape(n, n), 1) + n * np.diag(
+        vector(st.sampled_from([-1.0, 1.0]), n)
+    )
+    return lower, upper, vector(st.integers(0, n - 1), n).tolist(), vector(unit, n)
+
+
+# Every pivot swaps row k with row 0.  With L = I the order of the swaps and
+# the forward substitution would not matter.
+PIVOTS_ALL_ZERO = (
+    np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.5, 0.25, 1.0]]),
+    np.array([[3.0, 1.0, -1.0], [0.0, -3.0, 1.0], [0.0, 0.0, 3.0]]),
+    [0, 0, 0],
+    np.array([1.0, 2.0, 3.0]),
+)
+
+
+class TestPivotConvention:
+    """Every band reads piv as getrs does: all interchanges, in order, before substitution."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pivoted_factors())
+    @example(PIVOTS_ALL_ZERO)
+    def test_hand_built_pivots_solve_their_system(self, system):
+        lower, upper, piv, b = system
+        n = len(piv)
+        factors = LUFactors(lower - np.eye(n) + upper, np.array(piv, dtype=np.int32), n)
+        # P A = L U, where row i of P A is row perm[i] of A
+        a = np.eye(n)[factors.perm].T @ lower @ upper
+        x = lu_solve(factors, b)
+        bound = 1e-13 * inf_norm(np.abs(lower) @ np.abs(upper)) * np.abs(x).max()
+        assert np.abs(a @ x - b).max() <= bound
 
 
 @pytest.mark.parametrize("n", [2, 4, 31, 32])
@@ -855,6 +907,20 @@ class TestHandBuiltFactors:
         factors = self.factors(n)
         with pytest.raises(ValueError, match="got float64 entries"):
             lu_solve(LUFactors(factors.lu, factors.piv.astype(np.float64), n), np.ones(n))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_on_the_diagonal_raises(self, n, zero):
+        # every band would divide by it; no threshold applies to hand-built factors
+        factors = self.factors(n)
+        lu = np.array(factors.lu)
+        lu[n - 1, n - 1] = zero
+        with pytest.raises(SingularMatrix, match=fr"^zero on the diagonal of U at column {n - 1}$"):
+            lu_solve(LUFactors(lu, factors.piv, n), np.ones(n))
+
+    def test_zero_factors_raise_for_the_first_column(self, n):
+        zeros = LUFactors(np.zeros((n, n)), np.arange(n, dtype=np.int32), n)
+        with pytest.raises(SingularMatrix, match="at column 0$"):
+            lu_solve(zeros, np.ones(n))
 
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_float_n_raises(self, n, kind):
