@@ -81,6 +81,11 @@ def norm2(v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim > 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+    return _norm2(v)
+
+
+def _norm2(v: np.ndarray) -> float:
+    """:func:`norm2` of a float64 vector, with no checks."""
     # ndarray.dot is np.dot without its __array_function__ dispatch
     return math.sqrt(v.dot(v))
 

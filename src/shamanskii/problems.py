@@ -52,8 +52,9 @@ class Problem:
     """A square nonlinear system F(x) = 0 with analytic Jacobian.
 
     ``residual`` and ``jacobian`` are pure functions of a length-``dim``
-    vector; evaluation never caches.  Instances are immutable and safe to
-    share.
+    vector; evaluation never caches.  The solver passes them a float64 array
+    of shape ``(dim,)``, which they must not write to: it is an iterate the
+    run keeps.  Instances are immutable and safe to share.
 
     At ``dim >= 4`` the solver factors the array ``jacobian(x)`` returns in
     place, and leaves it read-only, when nothing else can see it: a writeable
@@ -73,14 +74,21 @@ class Problem:
 
 def evaluate_f(problem: Problem, x) -> np.ndarray:
     """Evaluate the residual map at ``x``, checking the shapes of ``x`` and of F(x)."""
-    f = problem.residual(_checked(problem, "x", x, (problem.dim,)))
-    return _checked(problem, "residual(x)", f, (problem.dim,))
+    return _f_at(problem, _checked(problem, "x", x, (problem.dim,)))
 
 
 def evaluate_jacobian(problem: Problem, x) -> np.ndarray:
     """Evaluate the analytic Jacobian at ``x``, checking the shapes of ``x`` and of J(x)."""
-    jac = problem.jacobian(_checked(problem, "x", x, (problem.dim,)))
-    return _checked(problem, "jacobian(x)", jac, (problem.dim, problem.dim))
+    return _jacobian_at(problem, _checked(problem, "x", x, (problem.dim,)))
+
+
+# F and J at an x already checked, as the solver's iterates are: only the returns are checked.
+def _f_at(problem: Problem, x: np.ndarray) -> np.ndarray:
+    return _checked(problem, "residual(x)", problem.residual(x), (problem.dim,))
+
+
+def _jacobian_at(problem: Problem, x: np.ndarray) -> np.ndarray:
+    return _checked(problem, "jacobian(x)", problem.jacobian(x), (problem.dim, problem.dim))
 
 
 def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:

@@ -17,8 +17,11 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import linalg
-from .linalg import EPS, NonFiniteInput, SingularMatrix, norm2
-from .problems import DomainViolation, Problem, evaluate_f, evaluate_jacobian
+# solve and outer_step check x once; from then on the chord loop's evaluations
+# check only what the callables return, and norm2 takes those returns unchecked.
+from .linalg import EPS, NonFiniteInput, SingularMatrix, _norm2 as norm2
+from .problems import DomainViolation, Problem, _checked
+from .problems import _f_at as evaluate_f, _jacobian_at as evaluate_jacobian
 
 __all__ = [
     "TOL_DEFAULT",
@@ -229,13 +232,14 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     never thrown away.  A start point of the wrong length, or a residual or
     Jacobian that returns the wrong shape, is a programmer error and raises
     :class:`DimensionMismatch` naming the problem, ``x`` or the callable, and
-    both shapes.
+    both shapes.  The start point's shape is checked once, before the first
+    evaluation; every residual and Jacobian return is checked on every call.
 
     The Jacobians ``problem.jacobian`` returns may be factored in place; see
     :class:`~shamanskii.problems.Problem` for when.
     """
     cfg = config if config is not None else SolverConfig()
-    x = np.array(problem.start, dtype=np.float64)
+    x = np.array(_checked(problem, "x", problem.start, (problem.dim,)))
     outer = [x]
     inner: list[np.ndarray] | None = [] if cfg.record_inner else None
     it_inv = it_tot = 0
@@ -269,9 +273,10 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     Returns ``(new_x, residual_norm, inner_steps)``.  This is exactly one
     outer iteration of :func:`solve`, exposed so the sweep can be exercised
     in isolation; failures surface as exceptions here instead of trace
-    statuses.
+    statuses.  ``x`` gets the same shape check as a start point in :func:`solve`.
     """
     cfg = SolverConfig(m=m)
+    x = _checked(problem, "x", x, (problem.dim,))
     x_new, rhs_new, steps, cause = _outer_step(problem, x, evaluate_f(problem, x), cfg)
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
