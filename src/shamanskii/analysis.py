@@ -104,12 +104,13 @@ def run_suite(problem_names, ms, config: SolverConfig | None = None) -> SuiteRep
     cfg = config if config is not None else SolverConfig()
     names = tuple(problem_names)
     # SolverConfig rejects an m such as 1.5 or True before any cell runs
-    m_values = tuple(int(dataclasses.replace(cfg, m=m).m) for m in ms)
+    configs = [dataclasses.replace(cfg, m=m) for m in ms]
+    m_values = tuple(int(c.m) for c in configs)
     cells = []
     for name in names:
         problem = registry_get(name)
-        for m in m_values:
-            trace = solve(problem, dataclasses.replace(cfg, m=m))
+        for m, m_cfg in zip(m_values, configs):
+            trace = solve(problem, m_cfg)
             report = estimate_coc(trace)
             cells.append(
                 SuiteCell(

@@ -56,6 +56,10 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
+# Passed to asarray on the per-step paths: a dtype instance saves converting
+# the np.float64 type on every call.
+_F64 = np.dtype(np.float64)
+
 # Smallest n factored by LAPACK; straight-line kernels take smaller n, where
 # a LAPACK call costs more than the whole kernel.
 LAPACK_MIN_N = 4
@@ -112,7 +116,11 @@ def _lapack():
 
 class _Factors(NamedTuple):
     """Factors as :func:`_solve` reads them, unchecked: the small kernels'
-    Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up."""
+    Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up.
+
+    Built with ``tuple.__new__(_Factors, (lu, piv, n))``, which skips the
+    generated Python ``__new__`` and its 0.2 us on every factorization.
+    """
 
     lu: list | np.ndarray
     piv: list | np.ndarray
@@ -195,10 +203,11 @@ def _factor_owned(matrix) -> _Factors:
     that array, made read-only.  Any other array is copied first, and a
     non-finite one is rejected before anything is written.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    a = np.asarray(matrix, dtype=_F64)
+    shape = a.shape  # a new tuple on every read
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {shape}")
+    n = shape[0]
     if n >= LAPACK_MIN_N:
         lapack = _lapack()
         flags = a.flags
@@ -217,7 +226,7 @@ def _factor_owned(matrix) -> _Factors:
             k = int(bad[0])
             raise _singular(pivots[k], threshold, k)
         a.setflags(write=False)
-        return _Factors(a, piv, n)
+        return tuple.__new__(_Factors, (a, piv, n))
     return _FACTOR_KERNELS[n](a)
 
 
@@ -300,7 +309,7 @@ def _factor1(a: np.ndarray) -> _Factors:
     threshold = EPS * pivot
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 0)
-    return _Factors([[a00]], [0], 1)
+    return tuple.__new__(_Factors, ([[a00]], [0], 1))
 
 
 def _factor2(a: np.ndarray) -> _Factors:
@@ -321,7 +330,7 @@ def _factor2(a: np.ndarray) -> _Factors:
     pivot = abs(a11)
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 1)
-    return _Factors([[a00, a01], [l10, a11]], [p0, 1], 2)
+    return tuple.__new__(_Factors, ([[a00, a01], [l10, a11]], [p0, 1], 2))
 
 
 def _factor3(a: np.ndarray) -> _Factors:
@@ -361,7 +370,8 @@ def _factor3(a: np.ndarray) -> _Factors:
     pivot = abs(a22)
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 2)
-    return _Factors([[a00, a01, a02], [l10, a11, a12], [l20, l21, a22]], [p0, p1, 2], 3)
+    lu = [[a00, a01, a02], [l10, a11, a12], [l20, l21, a22]]
+    return tuple.__new__(_Factors, (lu, [p0, p1, 2], 3))
 
 
 def _solve1(lu: list, piv: list, b: list) -> np.ndarray:

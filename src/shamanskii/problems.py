@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch
+from .linalg import _F64, DimensionMismatch
 
 __all__ = [
     "DomainViolation",
@@ -61,7 +61,9 @@ class Problem:
     Fortran-ordered float64 array that owns its memory and to which the
     problem keeps no reference.  It copies any other array first and leaves
     it unchanged, so a stored, reused or view Jacobian is safe; a new
-    Fortran-ordered array on each call saves the copy.
+    Fortran-ordered array on each call saves the copy.  Below ``dim = 4``
+    (``LAPACK_MIN_N``) the factorization only reads the array, so the solver
+    neither tests nor copies it, and any array is left as it was.
     """
 
     name: str
@@ -82,13 +84,20 @@ def evaluate_jacobian(problem: Problem, x) -> np.ndarray:
     return _jacobian_at(problem, _checked(problem, "x", x, (problem.dim,)))
 
 
-# F and J at an x already checked, as the solver's iterates are: only the returns are checked.
+# F and J at an x already checked, as the solver's iterates are: only the
+# returns are checked, inline, and _checked is called only to raise.
 def _f_at(problem: Problem, x: np.ndarray) -> np.ndarray:
-    return _checked(problem, "residual(x)", problem.residual(x), (problem.dim,))
+    f = np.asarray(problem.residual(x), dtype=_F64)
+    if f.shape != (problem.dim,):
+        _checked(problem, "residual(x)", f, (problem.dim,))
+    return f
 
 
 def _jacobian_at(problem: Problem, x: np.ndarray) -> np.ndarray:
-    return _checked(problem, "jacobian(x)", problem.jacobian(x), (problem.dim, problem.dim))
+    jac = np.asarray(problem.jacobian(x), dtype=_F64)
+    if jac.shape != (problem.dim, problem.dim):
+        _checked(problem, "jacobian(x)", jac, (problem.dim, problem.dim))
+    return jac
 
 
 def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
@@ -106,7 +115,7 @@ def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
 
 def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
     # Not a copy: residual and jacobian are pure, so they do not write to x.
-    out = np.asarray(value, dtype=np.float64)
+    out = np.asarray(value, dtype=_F64)
     if out.shape != shape:
         raise DimensionMismatch(
             f"problem {problem.name!r}: {name} has shape {out.shape}, expected {shape}"

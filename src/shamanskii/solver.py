@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 # solve and outer_step check x once; from then on the chord loop's evaluations
 # check only what the callables return, and norm2 takes those returns unchecked.
-from .linalg import EPS, NonFiniteInput, SingularMatrix, _norm2 as norm2
+from .linalg import EPS, LAPACK_MIN_N, NonFiniteInput, SingularMatrix, _norm2 as norm2
 from .problems import DomainViolation, Problem, _checked
 from .problems import _f_at as evaluate_f, _jacobian_at as evaluate_jacobian
 
@@ -34,11 +34,13 @@ __all__ = [
     "newton_solve",
 ]
 
-# _outer_step factors a Jacobian that nothing but its own local can reach where
-# it lies (see Problem), and a copy of any other.  The copy doubles the n x n
-# buffers each outer step frees; at n = 301 glibc then hands those pages back
-# to the OS, and the next step faults them in again.  The factors stay in the
-# kernels' own form, so the chord loop's solves check nothing.
+# At n >= LAPACK_MIN_N, _outer_step factors a Jacobian that nothing but its own
+# local can reach where it lies (see Problem), and a copy of any other.  The
+# copy doubles the n x n buffers each outer step frees; at n = 301 glibc then
+# hands those pages back to the OS, and the next step faults them in again.
+# Below LAPACK_MIN_N the kernels only read the Jacobian, so it is neither
+# tested nor copied.  The factors stay in the kernels' own form, so the chord
+# loop's solves check nothing.
 lu_factor = linalg._factor_owned
 lu_solve = linalg._solve
 
@@ -185,12 +187,15 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     """
     try:
         jac = evaluate_jacobian(problem, x)
-        if not (jac.flags.owndata and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS):
+        if problem.dim >= LAPACK_MIN_N and not (
+            jac.flags.owndata and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS
+        ):
             # something else may still see the array or the memory under it
             jac = np.array(jac, order="F")
         factors = lu_factor(jac)
     except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
         return x, rhs, None, exc.with_traceback(None)
+    early_exit = cfg.inner_early_exit
     for steps in range(1, cfg.m + 1):
         x_next = x - lu_solve(factors, rhs)
         rhs_next, cause = _residual(problem, x_next, steps)
@@ -199,7 +204,7 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
         x, rhs = x_next, rhs_next
         if inner_record is not None:
             inner_record.append(x)
-        if cause is not None or (cfg.inner_early_exit and norm2(rhs) <= cfg.tol):
+        if cause is not None or (early_exit and norm2(rhs) <= cfg.tol):
             break
     return x, rhs, steps, cause
 
@@ -248,8 +253,9 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     res = float("nan") if rhs is None else norm2(rhs)
     norms = [res]
 
-    while (cause is None and res > cfg.tol and it_inv < cfg.max_outer
-           and it_tot + cfg.m <= cfg.total_cap):
+    # a sweep starts only when all m of its updates fit the total cap
+    tol, max_outer, budget = cfg.tol, cfg.max_outer, cfg.total_cap - cfg.m
+    while cause is None and res > tol and it_inv < max_outer and it_tot <= budget:
         x, rhs, steps, cause = _outer_step(problem, x, rhs, cfg, inner)
         if steps is None:
             break
@@ -262,7 +268,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     if cause is not None:
         status = next(status for kind, status in _STATUS_OF_CAUSE if isinstance(cause, kind))
     else:
-        status = SolveStatus.MAX_ITERATIONS if res > cfg.tol else SolveStatus.CONVERGED
+        status = SolveStatus.MAX_ITERATIONS if res > tol else SolveStatus.CONVERGED
     return SolveTrace(outer, norms, it_inv, it_tot, status, inner, cause)
 
 

@@ -394,6 +394,8 @@ def small_systems(draw, sizes=(2, 3)):
     a = vector(n * n).reshape(n, n) * 10.0 ** draw(st.integers(-8, 8))
     if draw(st.booleans()):
         a[-1] = vector(n - 1) @ a[:-1] + 10.0 ** -draw(st.integers(0, 20)) * a[-1]
+    # the scaling and the combination can make an entry subnormal again
+    a[np.abs(a) < np.finfo(np.float64).tiny] = 0.0
     return a, vector(n)
 
 
@@ -430,6 +432,20 @@ class TestSmallSystemProperties:
     def test_bounds_hold_on_both_sides_of_lapack_min_n(self, system):
         # the body above, on the loop at n = 3 and on LAPACK from n = 4
         self.test_factor_meets_bounds_or_raises.hypothesis.inner_test(self, system)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solution_above_the_largest_float_overflows_to_inf(n):
+    # Subnormal pivots pass the threshold, which scales with norm_inf(A); the
+    # exact x[-1] = 1 / 2.2250738585e-309 is about 4.49e308, above float64's
+    # largest, so it overflows, and 0 * inf makes the other entries NaN.
+    a = 2.2250738585e-309 * np.eye(n)
+    b = np.zeros(n)
+    b[-1] = 1.0
+    x = lu_solve(lu_factor(a), b)
+    assert x[-1] == np.inf
+    if n < LAPACK_MIN_N:
+        assert np.isnan(x[:-1]).all()
 
 
 def loop_factor(a):
@@ -1067,6 +1083,14 @@ class TestFactorOwned:
         assert np.array_equal(a, before)
         assert a.flags.writeable
         assert not np.shares_memory(factors.lu, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 31])
+def test_factor_owned_returns_exactly_factors(n):
+    # built with tuple.__new__; the benchmark's tracer reads factors.n
+    factors = linalg._factor_owned(well_conditioned(n))
+    assert type(factors) is linalg._Factors
+    assert factors.n == n and factors == (factors.lu, factors.piv, factors.n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

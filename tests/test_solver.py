@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import shamanskii
 import shamanskii.solver as solver_mod
-from shamanskii.linalg import DimensionMismatch, NonFiniteInput, SingularMatrix
+from shamanskii.linalg import LAPACK_MIN_N, DimensionMismatch, NonFiniteInput, SingularMatrix
 from shamanskii.problems import (
     DomainViolation,
     Problem,
@@ -782,6 +782,82 @@ class TestJacobianOwnership:
         assert_same_run(trace, solve(d, SolverConfig(m=2)))
         assert buffer.flags.writeable
         assert np.array_equal(buffer, d.jacobian(points[-1]))
+
+
+def small_jacobians(problem, kind):
+    """``(jacobian, fresh)``: a Jacobian callable returning the array ``kind``
+    names, and one returning a new array of the same values on each call."""
+    if kind == "fresh":
+        return problem.jacobian, problem.jacobian
+    stored = problem.jacobian(problem.start)
+    if kind == "read_only":
+        stored.setflags(write=False)
+    if kind == "view":
+        base = np.ascontiguousarray(stored.T)
+        return (lambda x: base.T), (lambda x: base.T.copy())
+    return (lambda x: stored), (lambda x: stored.copy())
+
+
+SMALL_CONFIGS = [
+    SolverConfig(m=2, max_outer=8),
+    SolverConfig(m=4, max_outer=8, inner_early_exit=True, record_inner=True),
+]
+
+
+@pytest.mark.parametrize("name", ["a", "c"])
+class TestSmallJacobiansAreOnlyRead:
+    """Below LAPACK_MIN_N the kernels only read the Jacobian, so the solver
+    neither tests who else can see it nor copies it."""
+
+    @pytest.mark.parametrize("kind", ["fresh", "stored", "read_only", "view"])
+    def test_returned_array_reaches_lu_factor_uncopied(self, name, kind, monkeypatch):
+        problem = registry_get(name)
+        jacobian, _ = small_jacobians(problem, kind)
+        # weak references, so that a fresh array stays one nothing else holds
+        returned = []
+
+        def recording_jacobian(x):
+            jac = jacobian(x)
+            returned.append(weakref.ref(jac))
+            return jac
+
+        reached = []
+        real_factor = solver_mod.lu_factor
+
+        def recording_factor(matrix):
+            reached.append(returned[-1]() is matrix)
+            return real_factor(matrix)
+
+        monkeypatch.setattr(solver_mod, "lu_factor", recording_factor)
+        trace = solve(dataclasses.replace(problem, jacobian=recording_jacobian), SMALL_CONFIGS[0])
+        assert trace.it_inv > 0
+        assert reached == [True] * len(returned)
+
+    @pytest.mark.parametrize("kind", ["stored", "read_only", "view"])
+    @pytest.mark.parametrize("cfg", SMALL_CONFIGS)
+    def test_returned_array_is_left_as_it_was(self, name, kind, cfg):
+        problem = registry_get(name)
+        jacobian, fresh = small_jacobians(problem, kind)
+        kept = jacobian(problem.start)
+        before, writeable = kept.tobytes(), kept.flags.writeable
+        trace = solve(dataclasses.replace(problem, jacobian=jacobian), cfg)
+        assert_same_run(trace, solve(dataclasses.replace(problem, jacobian=fresh), cfg))
+        assert kept.tobytes() == before
+        assert kept.flags.writeable is writeable
+
+
+def test_stored_jacobian_at_lapack_min_n_is_left_alone():
+    # the smallest size getrf factors in place, so the first one tested
+    n = LAPACK_MIN_N
+    stored = np.asfortranarray(np.arange(1.0, n * n + 1).reshape(n, n) + n * n * np.eye(n))
+    pristine = stored.copy(order="F")
+    affine = Problem("affine4", n, lambda x: stored @ x - 1.0, lambda x: stored, np.zeros(n))
+    trace = solve(affine)
+    expected = solve(dataclasses.replace(affine, jacobian=lambda x: pristine.copy(order="F")))
+    assert trace.converged
+    assert_same_run(trace, expected)
+    assert stored.flags.writeable
+    assert np.array_equal(stored, pristine)
 
 
 @pytest.mark.parametrize("gil", [True, False])
