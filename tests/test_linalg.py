@@ -645,7 +645,12 @@ def pivoted_factors(draw):
     upper = np.triu(vector(unit, n * n).reshape(n, n), 1) + n * np.diag(
         vector(st.sampled_from([-1.0, 1.0]), n)
     )
-    return lower, upper, vector(st.integers(0, n - 1), n).tolist(), vector(unit, n)
+    # an x in the subnormal range carries an absolute rounding error that a
+    # bound relative to x cannot cover: b = [0, 5e-324] and U = -2 I give the
+    # correctly rounded x = [-0., -0.], a residual of 5e-324 and a bound of 0
+    b = vector(unit, n)
+    b[np.abs(b) < 1e-300] = 0.0
+    return lower, upper, vector(st.integers(0, n - 1), n).tolist(), b
 
 
 # Every pivot swaps row k with row 0.  With L = I the order of the swaps and
