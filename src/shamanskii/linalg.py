@@ -204,10 +204,9 @@ def _factor_owned(matrix) -> _Factors:
     non-finite one is rejected before anything is written.
     """
     a = np.asarray(matrix, dtype=_F64)
-    shape = a.shape  # a new tuple on every read
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {shape}")
-    n = shape[0]
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
+    n = a.shape[0]
     if n >= LAPACK_MIN_N:
         lapack = _lapack()
         flags = a.flags

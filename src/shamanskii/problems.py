@@ -84,20 +84,13 @@ def evaluate_jacobian(problem: Problem, x) -> np.ndarray:
     return _jacobian_at(problem, _checked(problem, "x", x, (problem.dim,)))
 
 
-# F and J at an x already checked, as the solver's iterates are: only the
-# returns are checked, inline, and _checked is called only to raise.
+# F and J at an x already checked, as the solver's iterates are: only the returns are checked.
 def _f_at(problem: Problem, x: np.ndarray) -> np.ndarray:
-    f = np.asarray(problem.residual(x), dtype=_F64)
-    if f.shape != (problem.dim,):
-        _checked(problem, "residual(x)", f, (problem.dim,))
-    return f
+    return _checked(problem, "residual(x)", problem.residual(x), (problem.dim,))
 
 
 def _jacobian_at(problem: Problem, x: np.ndarray) -> np.ndarray:
-    jac = np.asarray(problem.jacobian(x), dtype=_F64)
-    if jac.shape != (problem.dim, problem.dim):
-        _checked(problem, "jacobian(x)", jac, (problem.dim, problem.dim))
-    return jac
+    return _checked(problem, "jacobian(x)", problem.jacobian(x), (problem.dim, problem.dim))
 
 
 def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:

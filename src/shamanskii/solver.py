@@ -195,7 +195,6 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
         factors = lu_factor(jac)
     except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
         return x, rhs, None, exc.with_traceback(None)
-    early_exit = cfg.inner_early_exit
     for steps in range(1, cfg.m + 1):
         x_next = x - lu_solve(factors, rhs)
         rhs_next, cause = _residual(problem, x_next, steps)
@@ -204,7 +203,7 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
         x, rhs = x_next, rhs_next
         if inner_record is not None:
             inner_record.append(x)
-        if cause is not None or (early_exit and norm2(rhs) <= cfg.tol):
+        if cause is not None or (cfg.inner_early_exit and norm2(rhs) <= cfg.tol):
             break
     return x, rhs, steps, cause
 
@@ -253,9 +252,8 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     res = float("nan") if rhs is None else norm2(rhs)
     norms = [res]
 
-    # a sweep starts only when all m of its updates fit the total cap
-    tol, max_outer, budget = cfg.tol, cfg.max_outer, cfg.total_cap - cfg.m
-    while cause is None and res > tol and it_inv < max_outer and it_tot <= budget:
+    while (cause is None and res > cfg.tol and it_inv < cfg.max_outer
+           and it_tot + cfg.m <= cfg.total_cap):
         x, rhs, steps, cause = _outer_step(problem, x, rhs, cfg, inner)
         if steps is None:
             break
@@ -268,7 +266,7 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     if cause is not None:
         status = next(status for kind, status in _STATUS_OF_CAUSE if isinstance(cause, kind))
     else:
-        status = SolveStatus.MAX_ITERATIONS if res > tol else SolveStatus.CONVERGED
+        status = SolveStatus.MAX_ITERATIONS if res > cfg.tol else SolveStatus.CONVERGED
     return SolveTrace(outer, norms, it_inv, it_tot, status, inner, cause)
 
 

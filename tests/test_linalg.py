@@ -645,12 +645,7 @@ def pivoted_factors(draw):
     upper = np.triu(vector(unit, n * n).reshape(n, n), 1) + n * np.diag(
         vector(st.sampled_from([-1.0, 1.0]), n)
     )
-    # an x in the subnormal range carries an absolute rounding error that a
-    # bound relative to x cannot cover: b = [0, 5e-324] and U = -2 I give the
-    # correctly rounded x = [-0., -0.], a residual of 5e-324 and a bound of 0
-    b = vector(unit, n)
-    b[np.abs(b) < 1e-300] = 0.0
-    return lower, upper, vector(st.integers(0, n - 1), n).tolist(), b
+    return lower, upper, vector(st.integers(0, n - 1), n).tolist(), vector(unit, n)
 
 
 # Every pivot swaps row k with row 0.  With L = I the order of the swaps and
@@ -676,7 +671,10 @@ class TestPivotConvention:
         # P A = L U, where row i of P A is row perm[i] of A
         a = np.eye(n)[factors.perm].T @ lower @ upper
         x = lu_solve(factors, b)
-        bound = 1e-13 * inf_norm(np.abs(lower) @ np.abs(upper)) * np.abs(x).max()
+        # the absolute term allows for underflow in x: b = [0, 5e-324] and
+        # U = -2 I give the correctly rounded x = [-0., -0.], residual 5e-324
+        scale = inf_norm(np.abs(lower) @ np.abs(upper))
+        bound = 1e-13 * scale * np.abs(x).max() + n * scale * 2.0**-1074
         assert np.abs(a @ x - b).max() <= bound
 
 
