@@ -219,10 +219,12 @@ def _factor_owned(matrix) -> _Factors:
         threshold = n * EPS * norm
         a, piv, _ = lapack.dgetrf(a, overwrite_a=True)
         pivots = np.abs(a.diagonal())
-        # a zero pivot does not stop getrf, so the columns after it may hold NaN
-        bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
-        if bad.size:
-            k = int(bad[0])
+        # getrf goes on past a zero pivot, and entries that overflow in the
+        # elimination can leave NaN on the diagonal, which the minimum
+        # propagates; only a failing minimum pays for the scan
+        smallest = pivots.min()
+        if not smallest >= threshold or smallest == 0.0:
+            k = int(np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))[0])
             raise _singular(pivots[k], threshold, k)
         a.setflags(write=False)
         return tuple.__new__(_Factors, (a, piv, n))
@@ -252,7 +254,8 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
         if x.ndim != 1 or x.size == 0:
             raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-    # the pivots checked are a copy, which no other thread can write to
+    # the pivots checked are a copy, which no other thread can write to and
+    # which getrs may shift in place
     lu, piv = np.asarray(factors.lu), np.array(factors.piv)
     if lu.shape != (n, n) or piv.shape != (n,):
         raise DimensionMismatch(
@@ -279,8 +282,9 @@ def _solve(factors: _Factors, x: np.ndarray) -> np.ndarray:
     lu, piv, n = factors
     if n >= LAPACK_MIN_N:
         # dgetrs shifts its pivots to 1-based and back in place with the GIL
-        # released, so each call gets its own copy
-        return _lapack().dgetrs(lu, np.array(piv), np.array(x), overwrite_b=True)[0]
+        # released, so piv is the caller's own: getrf's in the chord loop, a
+        # private copy in lu_solve.  f2py copies b, as overwrite_b is off.
+        return _lapack().dgetrs(lu, piv, x)[0]
     return _SOLVE_KERNELS[n](lu, piv, x.tolist())
 
 

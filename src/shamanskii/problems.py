@@ -176,13 +176,18 @@ def _residual_d(x):
 
 
 def _jacobian_d(x):
-    # dF_i/dx_i = x_{i+1} and dF_i/dx_{i+1} = x_i, indices wrapping around
+    # dF_i/dx_i = x_{i+1} and dF_i/dx_{i+1} = x_i, indices wrapping around.
+    # Entry (i, j) of the Fortran-ordered buffer is entry i + j * n of its flat
+    # view, so the diagonal is every (n + 1)-th entry from 0, the superdiagonal
+    # every (n + 1)-th from n, and the corner (n - 1, 0) is entry n - 1.
     n = x.shape[0]
-    rows = np.arange(n)
-    cols = (rows + 1) % n
     jac = np.zeros((n, n), order="F")  # the layout LAPACK factors in (see Problem)
-    jac[rows, rows] = x[cols]
-    jac[rows, cols] = x
+    flat = jac.reshape(-1, order="F")  # a view, so jac keeps owning its memory
+    diagonal = flat[:: n + 1]
+    diagonal[:-1] = x[1:]
+    diagonal[-1] = x[0]
+    flat[n :: n + 1] = x[:-1]
+    flat[n - 1] = x[-1]
     return jac
 
 

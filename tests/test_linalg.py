@@ -154,6 +154,14 @@ class TestLuFactor:
         factors = lu_factor(a)
         assert factors.upper[-1, -1] == n * EPS
 
+    @pytest.mark.parametrize("n", [4, 31])
+    def test_pivot_one_ulp_under_threshold_raises(self, n):
+        a = np.eye(n)
+        a[-1, -1] = np.nextafter(n * EPS, 0.0)
+        message = fr"^pivot \S+ below threshold \S+ at column {n - 1}$"
+        with pytest.raises(SingularMatrix, match=message):
+            lu_factor(a)
+
 
 class TestLuSolve:
     def test_identity(self):
@@ -1094,6 +1102,112 @@ def test_factor_owned_returns_exactly_factors(n):
     factors = linalg._factor_owned(well_conditioned(n))
     assert type(factors) is linalg._Factors
     assert factors.n == n and factors == (factors.lu, factors.piv, factors.n)
+
+
+def scanned_factor(a):
+    """getrf's ``(lu, piv)`` of a finite n x n ``a``, n >= LAPACK_MIN_N, checked
+    by a scan of every pivot, as ``_factor_owned`` checked them before it took
+    their minimum first; it raises as ``_factor_owned`` does."""
+    lapack = linalg._lapack()
+    threshold = a.shape[0] * EPS * lapack.dlange("I", a)
+    lu, piv, _ = lapack.dgetrf(a)
+    pivots = np.abs(lu.diagonal())
+    bad = np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))
+    if bad.size:
+        k = int(bad[0])
+        raise linalg._singular(pivots[k], threshold, k)
+    return lu, piv
+
+
+def growth_matrix(n):
+    """Wilkinson's matrix with its last two columns all ones, scaled so that
+    the largest row sum is float64's largest value: elimination doubles the
+    last two columns at each step, so from n = 5 on they overflow, and the last
+    pivot is inf - 0 * inf, NaN, behind finite and infinite pivots."""
+    a = np.tril(-np.ones((n, n)), -1) + np.eye(n)
+    a[:, -2:] = 1.0
+    return a * (np.finfo(np.float64).max / n)
+
+
+@st.composite
+def near_singular_systems(draw):
+    """A finite n x n matrix, n in {4, 5, 8}, of one of seven kinds: entries in
+    [-4, 4]; small integers and signed zeros, whose pivots tie or vanish; a
+    column of zeros or of -0.0; a row that is a combination of two others; a
+    pivot exactly on the threshold ``n * eps * norm_inf(A)``, or one ulp under
+    it; a row whose sum overflows, so that no finite pivot meets the threshold;
+    :func:`growth_matrix`, whose last pivot is NaN from n = 5 on."""
+    n = draw(st.sampled_from([4, 5, 8]))
+
+    def vector(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    kind = draw(st.sampled_from(
+        ["entries", "ties", "zero_column", "combination", "threshold", "overflow", "growth"]
+    ))
+    if kind == "growth":
+        return growth_matrix(n)
+    if kind == "ties":
+        a = vector(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), n * n).reshape(n, n)
+    else:
+        a = vector(st.floats(-4.0, 4.0), n * n).reshape(n, n)
+    if kind == "zero_column":
+        a[:, draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "combination":
+        # exactly singular, or singular but for the rounding of the sum
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a[k] = a[i] + draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0])) * a[j]
+    elif kind == "threshold":
+        # as in kernel_systems: upper triangular, row k holds only its pivot,
+        # and the rows are shuffled so that pivoting has to find them again
+        k = draw(st.integers(0, n - 1))
+        a = np.triu(vector(st.sampled_from([-2.0, -1.0, 1.0, 2.0]), n * n).reshape(n, n))
+        a[k, k + 1 :] = 0.0
+        a[k, k] = n * EPS * max(np.abs(a[i]).sum() for i in range(n) if i != k)
+        if draw(st.booleans()):
+            a[k, k] = np.nextafter(a[k, k], 0.0)
+        a = a[draw(st.permutations(range(n)))]
+    elif kind == "overflow":
+        a[draw(st.integers(0, n - 1))] = vector(st.sampled_from([1e308, -1e308, 1.5e308]), n)
+    return a
+
+
+# a -0.0 pivot in column 2, after which getrf goes on to column 3
+NEGATIVE_ZERO_PIVOT = np.diag([1.0, 2.0, -0.0, 3.0])
+
+
+class TestLapackPivotCheck:
+    """At n >= LAPACK_MIN_N the minimum pivot decides whether the full scan runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_singular_systems())
+    @example(NEGATIVE_ZERO_PIVOT)
+    @example(growth_matrix(5))
+    def test_raises_exactly_when_a_scan_finds_a_bad_pivot(self, a):
+        try:
+            lu, piv = scanned_factor(a)
+        except SingularMatrix as exc:
+            assert_raises_as(exc, linalg._factor_owned, np.asfortranarray(a))
+            return
+        factors = linalg._factor_owned(np.asfortranarray(a))
+        assert factors.lu.tobytes() == lu.tobytes() and factors.piv.tobytes() == piv.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 31, 301])
+def test_solve_keeps_the_bytes_of_b_and_piv(n):
+    # _solve hands dgetrs the factors' own pivots and b, which f2py copies;
+    # dgetrs shifts the pivots to 1-based and back in place
+    rng = np.random.default_rng(n)
+    a = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, n)))
+    public = lu_factor(a)
+    factors = linalg._factor_owned(a)
+    assert not np.array_equal(factors.piv, np.arange(n))
+    b = rng.uniform(-1.0, 1.0, n)
+    b_before, piv_before = b.tobytes(), factors.piv.tobytes()
+    x = linalg._solve(factors, b)
+    assert b.tobytes() == b_before and factors.piv.tobytes() == piv_before
+    assert not np.shares_memory(x, b)
+    assert x.tobytes() == lu_solve(public, b).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -5,6 +5,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import shamanskii.cli as cli_mod
 from shamanskii.linalg import DimensionMismatch
@@ -109,6 +112,25 @@ class TestResiduals:
         assert np.array_equal(evaluate_jacobian(p, x), evaluate_jacobian(p, x))
 
 
+# -0.0, subnormals, the smallest normal, Inf and NaN among any floats
+D_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan]),
+    st.floats(),
+)
+
+
+def scattered_jacobian_d(x):
+    """d's Jacobian by the fancy-index scatters that problem d used before it
+    wrote through strided slices of its buffer's flat view."""
+    n = x.shape[0]
+    rows = np.arange(n)
+    cols = (rows + 1) % n
+    jac = np.zeros((n, n), order="F")
+    jac[rows, rows] = x[cols]
+    jac[rows, cols] = x
+    return jac
+
+
 class TestJacobians:
     def test_b_at_start(self):
         expected = [[2.0, 2.0], [2.0, -2.0]]
@@ -132,6 +154,18 @@ class TestJacobians:
         assert jac[30, 30] == x[0]
         assert jac[30, 0] == x[30]
         assert np.count_nonzero(jac) == 62
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 5, 31, 301]).flatmap(
+            lambda n: arrays(np.float64, n, elements=D_ENTRIES)
+        )
+    )
+    def test_d_has_the_bytes_of_the_scattered_formula(self, x):
+        jac = registry_get("d").jacobian(x)
+        assert jac.tobytes() == scattered_jacobian_d(x).tobytes()
+        # the solver factors such an array in place (see Problem)
+        assert jac.flags.f_contiguous and jac.flags.owndata and jac.flags.writeable
 
 
 class TestDomain:
