@@ -34,10 +34,16 @@ def _cell_text(cell) -> str:
 
 def render_table(report: SuiteReport) -> str:
     """Aligned grid: one row per problem, one column per m."""
+    # one pass over the cells, not a report.cell scan per cell; the first
+    # match wins, as there, and report.cell raises for a missing cell
+    cells = {(c.problem, c.m): c for c in reversed(report.cells)}
     header = ["problem"] + [f"m={m}" for m in report.ms]
     rows = [header]
     for name in report.problems:
-        rows.append([name] + [_cell_text(report.cell(name, m)) for m in report.ms])
+        row = [name]
+        for m in report.ms:
+            row.append(_cell_text(cells.get((name, m)) or report.cell(name, m)))
+        rows.append(row)
     widths = [max(len(row[j]) for row in rows) for j in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
@@ -53,21 +59,31 @@ def render_csv(report: SuiteReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# json's C encoder runs only without indent, so records are encoded with the
+# separator between items that indent=2 puts inside a record, and the ends
+# and the boundaries between records are rewritten.  An encoded string holds
+# no raw newline, so the boundary "},\n    {" occurs nowhere else.
+_JSON_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def render_json(report: SuiteReport) -> str:
-    records = []
-    for c in report.cells:
-        records.append(
-            {
-                "problem": c.problem,
-                "m": c.m,
-                "it_inv": c.it_inv,
-                "it_tot": c.it_tot,
-                "rho": None if c.rho is None else round(c.rho, 4),
-                "status": c.status.value,
-                "final_residual": c.final_residual if math.isfinite(c.final_residual) else None,
-            }
-        )
-    return json.dumps(records, indent=2) + "\n"
+    """``json.dumps(records, indent=2)``, one record per cell, and a newline."""
+    records = [
+        {
+            "problem": c.problem,
+            "m": c.m,
+            "it_inv": c.it_inv,
+            "it_tot": c.it_tot,
+            "rho": None if c.rho is None else round(c.rho, 4),
+            "status": c.status.value,
+            "final_residual": c.final_residual if math.isfinite(c.final_residual) else None,
+        }
+        for c in report.cells
+    ]
+    if not records:
+        return "[]\n"
+    body = _JSON_ENCODER.encode(records)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return "[\n  {\n    " + body + "\n  }\n]\n"
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}

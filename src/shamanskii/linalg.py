@@ -231,6 +231,16 @@ def _factor_owned(matrix) -> _Factors:
     return _FACTOR_KERNELS[n](a)
 
 
+def _factor_square(a: np.ndarray) -> _Factors:
+    """:func:`_factor_owned` of a float64 array already checked to be square.
+
+    Below ``LAPACK_MIN_N`` the kernel reads ``a`` with no conversion or shape
+    test; an empty ``a`` and larger ones take every check of
+    :func:`_factor_owned`.
+    """
+    return _FACTOR_KERNELS.get(len(a), _factor_owned)(a)
+
+
 def lu_solve(factors: LUFactors, b) -> np.ndarray:
     """Solve ``A x = b`` using precomputed factors of ``A``.
 

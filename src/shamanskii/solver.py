@@ -39,9 +39,10 @@ __all__ = [
 # copy doubles the n x n buffers each outer step frees; at n = 301 glibc then
 # hands those pages back to the OS, and the next step faults them in again.
 # Below LAPACK_MIN_N the kernels only read the Jacobian, so it is neither
-# tested nor copied.  The factors stay in the kernels' own form, so the chord
-# loop's solves check nothing.
-lu_factor = linalg._factor_owned
+# tested nor copied, and _jacobian_at has checked its dtype and shape.  The
+# factors stay in the kernels' own form, so the chord loop's solves check
+# nothing.
+lu_factor = linalg._factor_square
 lu_solve = linalg._solve
 
 

@@ -1,9 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import shamanskii.solver as solver_mod
 from shamanskii import analysis
 from shamanskii.analysis import estimate_coc, run_suite
-from shamanskii.problems import registry_get
+from shamanskii.linalg import norm2
+from shamanskii.problems import registry_get, registry_names
 from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace, solve
 
 
@@ -78,6 +83,97 @@ class TestEstimateCoc:
         trace = solve(registry_get("e"), SolverConfig(m=2))
         rho = estimate_coc(trace).rho
         assert rho == pytest.approx(2.9754, abs=0.3)
+
+
+def diffs_oracle(trace):
+    """estimate_coc's diffs as taken with the public, checking norm2."""
+    points = trace.outer_iterates[-4:]
+    return tuple(norm2(b - a) for a, b in zip(points, points[1:]))
+
+
+def grid_traces():
+    return [solve(registry_get(name), SolverConfig(m=m))
+            for name in registry_names() for m in (1, 2, 3, 4)]
+
+
+def random_start_traces():
+    """200 runs of a, b, c and e with m = 1..4 from seeded random starts, near
+    the start point and ten times as far out, so that failed runs are among them."""
+    rng = np.random.default_rng(24)
+    traces = []
+    for name in "abce":
+        problem = registry_get(name)
+        for k in range(50):
+            offset = (1.0, 10.0)[k % 2] * rng.uniform(-1.0, 1.0, problem.start.size)
+            start = dataclasses.replace(problem, start=problem.start + offset)
+            traces.append(solve(start, SolverConfig(m=1 + k // 2 % 4)))
+    return traces
+
+
+class TestCocDiffs:
+    """estimate_coc skips norm2's checks for the solver's own iterates, with
+    the same bits, and keeps them for any other iterate."""
+
+    @pytest.mark.parametrize("make", [grid_traces, random_start_traces], ids=["grid", "starts"])
+    def test_bits_match_norm2(self, make):
+        for trace in make():
+            # diverged runs overflow the dot product, as norm2 does; bytes, so
+            # that NaN norms compare equal
+            with np.errstate(over="ignore", invalid="ignore"):
+                ours, theirs = estimate_coc(trace).diffs, diffs_oracle(trace)
+            assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [np.arange(2) * k for k in (1, 3, 4, 4)],
+            [np.array([1.0, 2.0], dtype=np.float32) / k for k in (1, 2, 4, 8)],
+            [np.array(k) for k in (1.0, 0.5, 0.125, 0.0)],
+            [k * np.eye(2) for k in (1.0, 0.5, 0.125, 0.0)],
+            [[k, k] for k in (1.0, 0.5, 0.125, 0.0)],
+        ],
+        ids=["int", "float32", "0-d", "2-D", "list"],
+    )
+    def test_other_iterates_get_norm2s_checks(self, points):
+        trace = SolveTrace(points, [1.0, 1e-2, 1e-6, 0.0], 3, 3, SolveStatus.CONVERGED)
+        try:
+            expected = diffs_oracle(trace)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                estimate_coc(trace)
+            assert raised.value.args == exc.args
+        else:
+            assert estimate_coc(trace).diffs == expected
+
+
+def test_traced_benchmark_bindings(monkeypatch):
+    """The benchmark's tracer replaces these names where solver and analysis
+    look them up; a refactor that stops calling through one of them, or
+    changes how often, loses its spans.  Counts are for the default grid."""
+    calls, sizes = Counter(), Counter()
+
+    def count(module, name, size=None):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            if size is not None:
+                sizes[name, size(*args)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    # the tracer sizes the LU spans with these
+    count(solver_mod, "lu_factor", len)
+    count(solver_mod, "lu_solve", lambda factors, b: factors.n)
+    for name in ("norm2", "evaluate_f", "evaluate_jacobian"):
+        count(solver_mod, name)
+    for name in ("solve", "estimate_coc", "registry_get"):
+        count(analysis, name)
+    run_suite(registry_names(), (1, 2, 3, 4))
+    assert calls == {"lu_factor": 80, "lu_solve": 181, "norm2": 100, "evaluate_f": 201,
+                     "evaluate_jacobian": 80, "solve": 20, "estimate_coc": 20, "registry_get": 5}
+    assert set(sizes) == {(name, n) for name in ("lu_factor", "lu_solve") for n in (2, 3, 31)}
 
 
 class TestRunSuite:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,10 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shamanskii.cli as cli_mod
-from shamanskii.cli import main
+from shamanskii.analysis import SuiteCell, SuiteReport
+from shamanskii.cli import main, render_json, render_table
 from shamanskii.problems import registry_get
+from shamanskii.solver import SolveStatus
 
 CELL_RE = re.compile(r"^(\d+) \((\d+)\) (\S+)$")
 
@@ -185,6 +190,121 @@ class TestSuite:
     def test_invalid_format(self, capsys):
         code, _, err = run_cli(capsys, "suite", "--format", "xml")
         assert code == 1
+
+
+def report_of(cells, problems=None, ms=None):
+    """A hand-built report; its problems and ms default to those of its cells."""
+    problems = tuple(dict.fromkeys(c.problem for c in cells)) if problems is None else problems
+    ms = tuple(dict.fromkeys(c.m for c in cells)) if ms is None else ms
+    return SuiteReport(tuple(problems), tuple(ms), tuple(cells))
+
+
+def cell_of(problem="a", m=1, it_inv=3, it_tot=3, rho=2.0,
+            status=SolveStatus.CONVERGED, final_residual=1e-17):
+    return SuiteCell(problem, m, it_inv, it_tot, rho, status, final_residual)
+
+
+def json_oracle(report):
+    """render_json as written for json's pure-Python encoder, which indent=2 selects."""
+    records = []
+    for c in report.cells:
+        records.append(
+            {
+                "problem": c.problem,
+                "m": c.m,
+                "it_inv": c.it_inv,
+                "it_tot": c.it_tot,
+                "rho": None if c.rho is None else round(c.rho, 4),
+                "status": c.status.value,
+                "final_residual": c.final_residual if math.isfinite(c.final_residual) else None,
+            }
+        )
+    return json.dumps(records, indent=2) + "\n"
+
+
+def table_oracle(report):
+    """render_table as written with one report.cell scan per cell."""
+    header = ["problem"] + [f"m={m}" for m in report.ms]
+    rows = [header]
+    for name in report.problems:
+        rows.append([name] + [cli_mod._cell_text(report.cell(name, m)) for m in report.ms])
+    widths = [max(len(row[j]) for row in rows) for j in range(len(header))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# quotes, backslashes, newlines and the characters of a record boundary, and
+# characters outside ASCII, which json escapes
+NAME_CHARACTERS = '"\\\n\t}{,: ab\u00e9\u2211\U0001f600'
+names = st.text(NAME_CHARACTERS, max_size=12) | st.text(max_size=6)
+rhos = st.none() | st.sampled_from([*NON_FINITE, 0.0, -0.0]) | st.floats(
+    min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308
+) | st.floats(allow_nan=False, allow_infinity=False)
+cells = st.builds(
+    SuiteCell,
+    problem=names,
+    m=st.integers(1, 64),
+    it_inv=st.integers(0, 100),
+    it_tot=st.integers(0, 6400),
+    rho=rhos,
+    status=st.sampled_from(SolveStatus),
+    final_residual=st.sampled_from(NON_FINITE) | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRenderers:
+    """The renderers give the bytes of their plain formulations, kept above as oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(cells, max_size=4))
+    @example([])
+    @example([cell_of()])
+    @example([cell_of(rho=None, status=SolveStatus.MAX_ITERATIONS, final_residual=math.nan)])
+    def test_json_is_json_dumps_with_indent_2(self, drawn):
+        report = report_of(drawn)
+        assert render_json(report) == json_oracle(report)
+
+    @pytest.mark.parametrize("name", ["a},\n    {b", "a},\\n    {b", "},\n  },\n  {\n    {"],
+                             ids=["raw", "escaped", "rewritten"])
+    def test_json_names_holding_a_record_boundary(self, name):
+        report = report_of([cell_of(name), cell_of(name, 2), cell_of("b", 1)])
+        out = render_json(report)
+        assert out == json_oracle(report)
+        assert [r["problem"] for r in json.loads(out)] == [name, name, "b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abc"), max_size=3),
+        st.lists(st.integers(1, 3), max_size=3),
+        st.lists(st.builds(cell_of, st.sampled_from("abc"), st.integers(1, 3),
+                           st.integers(0, 20), st.integers(0, 20)), max_size=12),
+    )
+    def test_table_reads_cells_as_report_cell_does(self, problems, ms, drawn):
+        # out of order, duplicated and missing cells
+        report = report_of(drawn, problems, ms)
+        try:
+            expected = table_oracle(report)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as raised:
+                render_table(report)
+            assert raised.value.args == exc.args
+        else:
+            assert render_table(report) == expected
+
+    def test_table_takes_the_first_of_duplicate_cells(self):
+        report = report_of([cell_of("b", 2, 7, 14), cell_of("a", 2, 1, 2), cell_of("b", 2, 9, 18)],
+                           ("a", "b"), (2,))
+        assert render_table(report) == "problem  m=2\na        1 (2) 2.0000\nb        7 (14) 2.0000\n"
+        assert render_table(report) == table_oracle(report)
+
+    def test_table_missing_cell_raises_as_report_cell(self):
+        report = report_of([cell_of("a", 1)], ("a", "b"), (1,))
+        with pytest.raises(KeyError) as expected:
+            report.cell("b", 1)
+        with pytest.raises(KeyError) as raised:
+            render_table(report)
+        assert raised.value.args == expected.value.args == ("no cell for problem 'b', m=1",)
 
 
 class TestCheckJacobians:

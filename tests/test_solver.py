@@ -548,6 +548,14 @@ class TestOuterStep:
         with pytest.raises(ValueError):
             outer_step(registry_get("b"), [1.0, 1.0], m=0)
 
+    def test_empty_system_raises(self):
+        # the solver's lu_factor sends an n it has no kernel for to every check
+        p = Problem(name="empty", dim=0, residual=lambda x: np.zeros(0),
+                    jacobian=lambda x: np.zeros((0, 0)), start=np.zeros(0))
+        message = r"^expected a nonempty square matrix, got shape \(0, 0\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            outer_step(p, p.start, 1)
+
 
 class TestNewtonSolve:
     @pytest.mark.parametrize("name", registry_names())
