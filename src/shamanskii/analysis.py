@@ -7,9 +7,9 @@ from math import log
 
 import numpy as np
 
-from .linalg import _F64, _norm2, norm2
+from .linalg import norm2
 from .problems import registry_get
-from .solver import SolveStatus, SolverConfig, SolveTrace, solve
+from .solver import _NO_FP_WARNINGS, SolveStatus, SolverConfig, SolveTrace, solve
 
 __all__ = [
     "CocReport",
@@ -36,16 +36,7 @@ class CocReport:
     reason: str | None = None
 
 
-def _diff_norm(a, b) -> float:
-    """``norm2(b - a)``.  The solver's iterates are 1-D float64 arrays, whose
-    difference needs none of norm2's checks; any other difference gets them,
-    and raises as norm2 does."""
-    d = b - a
-    if type(d) is np.ndarray and d.ndim == 1 and d.dtype is _F64:
-        return _norm2(d)
-    return norm2(d)
-
-
+@_NO_FP_WARNINGS
 def estimate_coc(trace: SolveTrace) -> CocReport:
     """Log-ratio convergence-order estimate from the last four outer iterates.
 
@@ -56,10 +47,12 @@ def estimate_coc(trace: SolveTrace) -> CocReport:
 
     which recovers the order exactly on sequences whose difference norms decay
     as r, r**p, r**p**2, ...  Taken at the end of the trace because that is
-    where the asymptotic regime is best established.
+    where the asymptotic regime is best established.  Runs with the same
+    floating-point warnings switched off as :func:`solve`, so the differences
+    of a diverged run may read ``inf`` or ``nan`` without a warning.
     """
     points = tuple(trace.outer_iterates[-4:])
-    diffs = tuple(map(_diff_norm, points, points[1:]))
+    diffs = tuple(norm2(b - a) for a, b in zip(points, points[1:]))
     if trace.status is not SolveStatus.CONVERGED:
         return CocReport(None, points, diffs, f"run failed with status {trace.status.value}")
     if len(points) < 4:

@@ -34,15 +34,12 @@ def _cell_text(cell) -> str:
 
 def render_table(report: SuiteReport) -> str:
     """Aligned grid: one row per problem, one column per m."""
-    # one pass over the cells, not a report.cell scan per cell; the first
-    # match wins, as there, and report.cell raises for a missing cell
-    cells = {(c.problem, c.m): c for c in reversed(report.cells)}
     header = ["problem"] + [f"m={m}" for m in report.ms]
     rows = [header]
     for name in report.problems:
         row = [name]
         for m in report.ms:
-            row.append(_cell_text(cells.get((name, m)) or report.cell(name, m)))
+            row.append(_cell_text(report.cell(name, m)))
         rows.append(row)
     widths = [max(len(row[j]) for row in rows) for j in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]

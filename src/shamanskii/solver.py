@@ -85,13 +85,18 @@ def _is_positive(value, kind=Integral) -> bool:
 class SolverConfig:
     """Run parameters.
 
-    ``m`` is the number of chord updates per factorization.  ``max_total``
-    caps the total update count and defaults to ``m * max_outer``; a sweep is
-    only started when all ``m`` of its updates fit the budget, so completed
-    runs always satisfy ``it_tot == m * it_inv`` unless ``inner_early_exit``
-    is set.  ``inner_early_exit`` checks the residual after every inner update
-    and stops the sweep as soon as the tolerance is met; by default
-    convergence is tested only at the outer level.
+    ``m`` is the number of chord updates per factorization.  A run has
+    converged once a residual norm is at most ``tol``, so a norm equal to
+    ``tol`` has converged.  ``max_outer`` caps the outer iterations, that is
+    the factorizations; a run that reaches it unconverged ends as
+    MaxIterations.  ``max_total`` caps the total update count and defaults to
+    ``m * max_outer``; a sweep is only started when all ``m`` of its updates
+    fit the budget, so completed runs always satisfy ``it_tot == m * it_inv``
+    unless ``inner_early_exit`` is set.  ``inner_early_exit`` checks the
+    residual after every inner update and stops the sweep as soon as the
+    tolerance is met; by default convergence is tested only at the outer
+    level.  ``record_inner`` fills :attr:`SolveTrace.inner_iterates` with the
+    iterate after each chord update, in order; otherwise it stays ``None``.
     """
 
     m: int = 1

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestCocDiffs:
             with np.errstate(over="ignore", invalid="ignore"):
                 ours, theirs = estimate_coc(trace).diffs, diffs_oracle(trace)
             assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    def test_diverged_runs_do_not_warn(self):
+        # no errstate here: estimate_coc keeps solve's floating-point policy,
+        # and some of these runs end with iterates near 1e208
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trace in random_start_traces():
+                estimate_coc(trace)
 
     @pytest.mark.parametrize(
         "points",

@@ -1270,6 +1270,44 @@ class TestShallowCopies:
         assert lu_solve(duplicate, b).tobytes() == lu_solve(factors, b).tobytes()
 
 
+def asarray_norm2(v):
+    """norm2 with every input through asarray: the oracle of its float64 fast path."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim > 1:
+        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+    return math.sqrt(v.dot(v))
+
+
+class DoubledDot(np.ndarray):
+    """An ndarray subclass whose dot is not ndarray's, so norm2 must convert it."""
+
+    def dot(self, other):
+        return 2.0 * np.asarray(self).dot(np.asarray(other))
+
+
+def read_only(v):
+    v.flags.writeable = False
+    return v
+
+
+# float32 squares summed in float32 round differently; int64 squares of 2**32
+# wrap to 0 in int64 arithmetic
+NORM2_INPUTS = {
+    "contiguous": np.array([0.1, 0.2, 0.3]),
+    "strided": (np.arange(1.0, 7.0) / 3.0)[::2],
+    "read-only": read_only(np.array([0.1, 0.2, 0.3])),
+    "big-endian": np.array([0.1, 0.2, 0.3], dtype=">f8"),
+    "subclass": np.array([0.1, 0.2, 0.3]).view(DoubledDot),
+    "float32": np.array([0.1, 0.2, 0.3], dtype=np.float32),
+    "int64": np.array([2**32, 3], dtype=np.int64),
+    "list": [0.1, 0.2, 0.3],
+    "float": 0.3,
+    "0-d": np.array(0.3),
+    "2-D": np.ones((2, 2)),
+    "2-D float32": np.ones((2, 3), dtype=np.float32),
+}
+
+
 class TestNorm2:
     def test_zero_vector(self):
         assert norm2([0.0, 0.0, 0.0]) == 0.0
@@ -1309,3 +1347,16 @@ class TestNorm2:
             assert np.float64(result).tobytes() == np.float64(expected).tobytes()
             warned = [(w.category, str(w.message)) for w in caught]
             assert warned == [(w.category, str(w.message)) for w in expected_caught]
+
+    @pytest.mark.parametrize("v", NORM2_INPUTS.values(), ids=NORM2_INPUTS.keys())
+    def test_float64_arrays_skip_asarray_with_the_same_result(self, v):
+        try:
+            expected = asarray_norm2(v)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                norm2(v)
+            assert raised.value.args == exc.args
+        else:
+            result = norm2(v)
+            assert type(result) is float
+            assert np.float64(result).tobytes() == np.float64(expected).tobytes()
