@@ -82,10 +82,7 @@ def norm2(v) -> float:
 
     A 2-D or higher ``v`` raises :class:`DimensionMismatch`.
     """
-    # a float64 ndarray, such as the difference of two iterates, is already
-    # what asarray would return; a subclass may override dot, so it is converted
-    if type(v) is not np.ndarray or v.dtype is not _F64:
-        v = np.asarray(v, dtype=_F64)
+    v = np.asarray(v, dtype=np.float64)
     if v.ndim > 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     return _norm2(v)

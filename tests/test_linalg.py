@@ -1271,7 +1271,7 @@ class TestShallowCopies:
 
 
 def asarray_norm2(v):
-    """norm2 with every input through asarray: the oracle of its float64 fast path."""
+    """norm2 written out: asarray to float64, the ndim check, then sqrt of the dot."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim > 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
@@ -1279,7 +1279,7 @@ def asarray_norm2(v):
 
 
 class DoubledDot(np.ndarray):
-    """An ndarray subclass whose dot is not ndarray's, so norm2 must convert it."""
+    """An ndarray subclass whose dot is not ndarray's, which norm2 must not call."""
 
     def dot(self, other):
         return 2.0 * np.asarray(self).dot(np.asarray(other))
@@ -1349,7 +1349,7 @@ class TestNorm2:
             assert warned == [(w.category, str(w.message)) for w in expected_caught]
 
     @pytest.mark.parametrize("v", NORM2_INPUTS.values(), ids=NORM2_INPUTS.keys())
-    def test_float64_arrays_skip_asarray_with_the_same_result(self, v):
+    def test_bits_and_errors_of_the_asarray_formula(self, v):
         try:
             expected = asarray_norm2(v)
         except Exception as exc:
