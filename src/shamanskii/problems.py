@@ -118,51 +118,54 @@ def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
 
 # --- the benchmark systems --------------------------------------------------
 
+# The callables of a, b, c and e make the formulas' numpy-scalar operations in
+# the formulas' order, each computed once: each entry of x is read once, a
+# repeated term is bound with := where it first appears, and a Jacobian is one
+# flat list reshaped.  Python floats, or x * x for x ** 2, would change bits.
+
 
 def _residual_a(x):
-    return np.array([x[0] ** 2 - 4.0 * x[1] + x[1] ** 2, 2.0 * x[0] - x[1] ** 2 - 2.0])
+    x0, x1 = x[0], x[1]
+    return np.array([x0 ** 2 - 4.0 * x1 + (x1_sq := x1 ** 2), 2.0 * x0 - x1_sq - 2.0])
 
 
 def _jacobian_a(x):
-    return np.array([[2.0 * x[0], -4.0 + 2.0 * x[1]], [2.0, -2.0 * x[1]]])
+    x0, x1 = x[0], x[1]
+    return np.array([2.0 * x0, -4.0 + 2.0 * x1, 2.0, -2.0 * x1]).reshape(2, 2)
 
 
 def _residual_b(x):
-    return np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[0] ** 2 - x[1] ** 2 + 0.5])
+    x0, x1 = x[0], x[1]
+    return np.array([(x0_sq := x0 ** 2) + (x1_sq := x1 ** 2) - 1.0, x0_sq - x1_sq + 0.5])
 
 
 def _jacobian_b(x):
-    return np.array([[2.0 * x[0], 2.0 * x[1]], [2.0 * x[0], -2.0 * x[1]]])
+    x0, x1 = x[0], x[1]
+    return np.array([(dx0 := 2.0 * x0), 2.0 * x1, dx0, -2.0 * x1]).reshape(2, 2)
 
 
 def _check_domain_c(x):
-    # x[1] feeds a reciprocal and x[2] the base of a real power x3**x1.
-    if x[1] == 0.0:
+    # x[1] feeds a reciprocal and x[2] the base of a real power x3**x1; returns
+    # x[0], x[1] and x[2], read once each
+    x1 = x[1]
+    if x1 == 0.0:
         raise DomainViolation("c", 1, "must be nonzero (reciprocal term)")
-    if x[2] <= 0.0:
+    x2 = x[2]
+    if x2 <= 0.0:
         raise DomainViolation("c", 2, "must be positive (base of a real power)")
+    return x[0], x1, x2
 
 
 def _residual_c(x):
-    _check_domain_c(x)
-    return np.array(
-        [
-            np.cos(x[1]) - np.cos(x[0]),
-            x[2] ** x[0] - 1.0 / x[1],
-            np.exp(x[0]) - x[2] ** 2,
-        ]
-    )
+    x0, x1, x2 = _check_domain_c(x)
+    return np.array([np.cos(x1) - np.cos(x0), x2 ** x0 - 1.0 / x1, np.exp(x0) - x2 ** 2])
 
 
 def _jacobian_c(x):
-    _check_domain_c(x)
-    return np.array(
-        [
-            [np.sin(x[0]), -np.sin(x[1]), 0.0],
-            [x[2] ** x[0] * np.log(x[2]), 1.0 / x[1] ** 2, x[0] * x[2] ** (x[0] - 1.0)],
-            [np.exp(x[0]), 0.0, -2.0 * x[2]],
-        ]
-    )
+    x0, x1, x2 = _check_domain_c(x)
+    return np.array([np.sin(x0), -np.sin(x1), 0.0,
+                     x2 ** x0 * np.log(x2), 1.0 / x1 ** 2, x0 * x2 ** (x0 - 1.0),
+                     np.exp(x0), 0.0, -2.0 * x2]).reshape(3, 3)
 
 
 def _residual_d(x):
@@ -192,11 +195,13 @@ def _jacobian_d(x):
 
 
 def _residual_e(x):
-    return np.array([x[0] ** 2 + x[1] ** 2 - 2.0, np.exp(x[0] - 1.0) + x[1] ** 2 - 2.0])
+    x0, x1 = x[0], x[1]
+    return np.array([x0 ** 2 + (x1_sq := x1 ** 2) - 2.0, np.exp(x0 - 1.0) + x1_sq - 2.0])
 
 
 def _jacobian_e(x):
-    return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0] - 1.0), 2.0 * x[1]]])
+    x0, x1 = x[0], x[1]
+    return np.array([2.0 * x0, (dx1 := 2.0 * x1), np.exp(x0 - 1.0), dx1]).reshape(2, 2)
 
 
 def _make_problem(name, dim, residual, jacobian, start, description):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 import shamanskii.solver as solver_mod
 from shamanskii import analysis
 from shamanskii.analysis import estimate_coc, run_suite
-from shamanskii.linalg import norm2
+from shamanskii.linalg import DimensionMismatch
 from shamanskii.problems import registry_get, registry_names
 from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace, solve
 
@@ -87,9 +88,16 @@ class TestEstimateCoc:
 
 
 def diffs_oracle(trace):
-    """estimate_coc's diffs as taken with the public, checking norm2."""
+    """estimate_coc's diffs, norm2 written out: each difference as a float64
+    array, a 2-D or higher one rejected, then sqrt of its dot product."""
     points = trace.outer_iterates[-4:]
-    return tuple(norm2(b - a) for a, b in zip(points, points[1:]))
+    diffs = []
+    for a, b in zip(points, points[1:]):
+        v = np.asarray(b - a, dtype=np.float64)
+        if v.ndim > 1:
+            raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+        diffs.append(math.sqrt(v.dot(v)))
+    return tuple(diffs)
 
 
 def grid_traces():
@@ -112,8 +120,9 @@ def random_start_traces():
 
 
 class TestCocDiffs:
-    """estimate_coc skips norm2's checks for the solver's own iterates, with
-    the same bits, and keeps them for any other iterate."""
+    """estimate_coc takes each difference norm with the public norm2: sqrt of
+    the dot product's bits for the solver's own iterates, and norm2's checks
+    and exceptions for any other iterate."""
 
     @pytest.mark.parametrize("make", [grid_traces, random_start_traces], ids=["grid", "starts"])
     def test_bits_match_norm2(self, make):

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -166,6 +166,125 @@ class TestJacobians:
         assert jac.tobytes() == scattered_jacobian_d(x).tobytes()
         # the solver factors such an array in place (see Problem)
         assert jac.flags.f_contiguous and jac.flags.owndata and jac.flags.writeable
+
+
+# The callables of a, b, c and e as first written, indexing x at every use and
+# computing a repeated term at each appearance: the oracle for the bytes and
+# the exceptions of the ones in problems.py.
+def reference_residual_a(x):
+    return np.array([x[0] ** 2 - 4.0 * x[1] + x[1] ** 2, 2.0 * x[0] - x[1] ** 2 - 2.0])
+
+
+def reference_jacobian_a(x):
+    return np.array([[2.0 * x[0], -4.0 + 2.0 * x[1]], [2.0, -2.0 * x[1]]])
+
+
+def reference_residual_b(x):
+    return np.array([x[0] ** 2 + x[1] ** 2 - 1.0, x[0] ** 2 - x[1] ** 2 + 0.5])
+
+
+def reference_jacobian_b(x):
+    return np.array([[2.0 * x[0], 2.0 * x[1]], [2.0 * x[0], -2.0 * x[1]]])
+
+
+def reference_check_domain_c(x):
+    if x[1] == 0.0:
+        raise DomainViolation("c", 1, "must be nonzero (reciprocal term)")
+    if x[2] <= 0.0:
+        raise DomainViolation("c", 2, "must be positive (base of a real power)")
+
+
+def reference_residual_c(x):
+    reference_check_domain_c(x)
+    return np.array(
+        [
+            np.cos(x[1]) - np.cos(x[0]),
+            x[2] ** x[0] - 1.0 / x[1],
+            np.exp(x[0]) - x[2] ** 2,
+        ]
+    )
+
+
+def reference_jacobian_c(x):
+    reference_check_domain_c(x)
+    return np.array(
+        [
+            [np.sin(x[0]), -np.sin(x[1]), 0.0],
+            [x[2] ** x[0] * np.log(x[2]), 1.0 / x[1] ** 2, x[0] * x[2] ** (x[0] - 1.0)],
+            [np.exp(x[0]), 0.0, -2.0 * x[2]],
+        ]
+    )
+
+
+def reference_residual_e(x):
+    return np.array([x[0] ** 2 + x[1] ** 2 - 2.0, np.exp(x[0] - 1.0) + x[1] ** 2 - 2.0])
+
+
+def reference_jacobian_e(x):
+    return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0] - 1.0), 2.0 * x[1]]])
+
+
+REFERENCE_CALLABLES = {
+    "a": (reference_residual_a, reference_jacobian_a),
+    "b": (reference_residual_b, reference_jacobian_b),
+    "c": (reference_residual_c, reference_jacobian_c),
+    "e": (reference_residual_e, reference_jacobian_e),
+}
+
+# numpy's scalar x ** 2 and x * x differ in the last bit here
+SQUARE_NOT_PRODUCT = -458.7228991098864
+
+# moderate values as well as d's specials and any float up to the largest
+SMALL_ENTRIES = st.one_of(st.floats(-1e3, 1e3), D_ENTRIES)
+
+
+def evaluation(function, x):
+    """What ``function(x)`` gives: the array's dtype, shape, layout and bytes,
+    or the type and fields of what it raised."""
+    try:
+        out = function(x)
+    except DomainViolation as exc:
+        return DomainViolation, exc.problem_name, exc.index, exc.description
+    except FloatingPointError as exc:
+        return FloatingPointError, exc.args
+    return out.dtype, out.shape, out.flags.c_contiguous, out.tobytes()
+
+
+class TestSmallSystemsKeepTheirBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from("abce").flatmap(
+            lambda name: st.tuples(
+                st.just(name), arrays(np.float64, registry_get(name).dim, elements=SMALL_ENTRIES)
+            )
+        )
+    )
+    @example(("a", np.array([1.0, SQUARE_NOT_PRODUCT])))
+    @example(("b", np.array([SQUARE_NOT_PRODUCT, 1.0])))
+    @example(("b", np.array([1.0, SQUARE_NOT_PRODUCT])))
+    @example(("c", np.array([1.0, SQUARE_NOT_PRODUCT, -SQUARE_NOT_PRODUCT])))
+    @example(("e", np.array([SQUARE_NOT_PRODUCT, 1.0])))
+    @example(("e", np.array([1.0, SQUARE_NOT_PRODUCT])))
+    # a first overflow in 4.0 * x1 or 2.0 * x1, and in x0 ** 2 ahead of an
+    # underflow in x1 ** 2
+    @example(("a", np.array([1.0, 1e308])))
+    @example(("e", np.array([1.0, 1e308])))
+    @example(("e", np.array([1e300, 1e-300])))
+    @example(("c", np.array([1.0, 0.0, -1.0])))
+    @example(("c", np.array([1.0, -0.0, 2.0])))
+    @example(("c", np.array([1.0, 1.0, 0.0])))
+    @example(("c", np.array([1.0, 1.0, -0.0])))
+    @example(("c", np.array([np.nan, np.nan, np.nan])))
+    def test_same_output_and_exceptions_as_the_reference(self, case):
+        name, x = case
+        problem = registry_get(name)
+        reference = REFERENCE_CALLABLES[name]
+        # "raise" as well: each operation is made in the reference's order, so
+        # the first one to overflow, underflow or go invalid is the same
+        for policy in ("ignore", "raise"):
+            with np.errstate(all=policy):
+                for ours, theirs in zip((problem.residual, problem.jacobian), reference):
+                    assert evaluation(ours, x) == evaluation(theirs, x), (policy, ours.__name__)
 
 
 class TestDomain:
