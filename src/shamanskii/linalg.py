@@ -56,10 +56,6 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Passed to asarray on the per-step paths: a dtype instance saves converting
-# the np.float64 type on every call.
-_F64 = np.dtype(np.float64)
-
 # Smallest n factored by LAPACK; straight-line kernels take smaller n, where
 # a LAPACK call costs more than the whole kernel.
 LAPACK_MIN_N = 4
@@ -195,23 +191,20 @@ def lu_factor(matrix) -> LUFactors:
     return LUFactors(lu, piv, n)
 
 
-def _factor_owned(matrix) -> _Factors:
-    """:func:`lu_factor` for a matrix the caller gives up, in kernel form.
+def _factor_owned(a: np.ndarray) -> _Factors:
+    """:func:`lu_factor` for a float64 array the caller gives up, in kernel form.
 
-    At ``n >= LAPACK_MIN_N`` ``getrf`` factors a writeable Fortran-ordered
-    float64 array where it lies, even when it proves singular, and ``lu`` is
-    that array, made read-only.  Any other array is copied first, and a
-    non-finite one is rejected before anything is written.
+    At ``n >= LAPACK_MIN_N`` ``a`` must be writeable and Fortran-ordered, as
+    :func:`lu_factor`'s copy and the solver's outer step make sure: ``getrf``
+    factors it where it lies, even when it proves singular, and ``lu`` is that
+    array, made read-only.  A non-finite ``a`` is rejected before anything is
+    written.
     """
-    a = np.asarray(matrix, dtype=_F64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n >= LAPACK_MIN_N:
         lapack = _lapack()
-        flags = a.flags
-        if not (flags.f_contiguous and flags.writeable and flags.aligned):
-            a = np.array(a, order="F")
         # NaN or Inf, without a warning, when an entry is or a row sum overflows
         norm = lapack.dlange("I", a)
         if not math.isfinite(norm):

@@ -13,7 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _F64, DimensionMismatch
+from .linalg import DimensionMismatch
+
+# Passed to asarray on the per-step paths: a dtype instance saves converting
+# the np.float64 type on every call.
+_F64 = np.dtype(np.float64)
 
 __all__ = [
     "DomainViolation",
@@ -60,10 +64,12 @@ class Problem:
     place, and leaves it read-only, when nothing else can see it: a writeable
     Fortran-ordered float64 array that owns its memory and to which the
     problem keeps no reference.  It copies any other array first and leaves
-    it unchanged, so a stored, reused or view Jacobian is safe; a new
-    Fortran-ordered array on each call saves the copy.  Below ``dim = 4``
-    (``LAPACK_MIN_N``) the factorization only reads the array, so the solver
-    neither tests nor copies it, and any array is left as it was.
+    it unchanged, so a stored, reused, view or read-only Jacobian is safe; a
+    new Fortran-ordered array on each call saves the copy.  A list or another
+    dtype is first converted to a float64 array, which the solver then tests.
+    Below ``dim = 4`` (``LAPACK_MIN_N``) the factorization only reads the
+    array, so the solver neither tests nor copies it, and any array is left as
+    it was.
     """
 
     name: str

@@ -34,13 +34,17 @@ __all__ = [
     "newton_solve",
 ]
 
-# At n >= LAPACK_MIN_N, _outer_step factors a Jacobian that nothing but its own
-# local can reach where it lies (see Problem), and a copy of any other.  The
-# copy doubles the n x n buffers each outer step frees; at n = 301 glibc then
-# hands those pages back to the OS, and the next step faults them in again.
-# Below LAPACK_MIN_N the kernels only read the Jacobian, so it is neither
-# tested nor copied, and _jacobian_at has checked its dtype and shape.  The
-# factors stay in the kernels' own form, so the chord loop's solves check
+# At n >= LAPACK_MIN_N, _outer_step alone decides whether getrf may overwrite a
+# Jacobian (see Problem): it copies one that does not own its memory, is not
+# Fortran-ordered and writeable, or is seen by more than its own local.  Not
+# flags.farray: it reads True for a read-only array, which getrf then writes
+# to.  Not a local bound to jac.flags: it adds a reference, so all would be
+# copied.  No aligned test: numpy aligns what an array owns, and f2py copies a
+# misaligned array.  Copying every Jacobian doubles the n x n buffers each step
+# frees; at n = 301 glibc then returns those pages to the OS, to be faulted in
+# again.  Below LAPACK_MIN_N the kernels only read the Jacobian, so it is
+# neither tested nor copied, and _jacobian_at has checked its dtype and shape.
+# The factors stay in the kernels' own form, so the chord loop's solves check
 # nothing.
 lu_factor = linalg._factor_square
 lu_solve = linalg._solve
@@ -194,9 +198,10 @@ def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
     try:
         jac = evaluate_jacobian(problem, x)
         if problem.dim >= LAPACK_MIN_N and not (
-            jac.flags.owndata and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS
+            jac.flags.owndata and jac.flags.f_contiguous and jac.flags.writeable
+            and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS
         ):
-            # something else may still see the array or the memory under it
+            # getrf may not overwrite it where it lies
             jac = np.array(jac, order="F")
         factors = lu_factor(jac)
     except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:

@@ -9,13 +9,15 @@ import subprocess
 import sys
 import textwrap
 import threading
+import types
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shamanskii
@@ -790,6 +792,232 @@ class TestJacobianOwnership:
         assert_same_run(trace, solve(d, SolverConfig(m=2)))
         assert buffer.flags.writeable
         assert np.array_equal(buffer, d.jacobian(points[-1]))
+
+
+# How a Jacobian callable hands the solver its array.  A kind is
+# make(fill, n) -> (jacobian, kept): fill(x) is problem d's fresh
+# Fortran-ordered float64 Jacobian, and kept() lists the arrays the problem
+# still holds after a call.  The fresh kinds hold none.
+FRESH_KINDS = {
+    "float64_F": lambda jac: jac,
+    "float32_F": lambda jac: jac.astype(np.float32),
+    "int64_F": lambda jac: jac.astype(np.int64),
+    "C_order": np.ascontiguousarray,
+    "read_only": read_only,
+    "list": lambda jac: jac.tolist(),
+}
+# the fresh kinds whose float64 array, as _jacobian_at returns it, getrf may
+# overwrite: the array itself, or the new one converted from float32 or int64
+IN_PLACE_KINDS = {"float64_F", "float32_F", "int64_F"}
+
+
+class KeptSubclass(np.ndarray):
+    """An ndarray subclass, whose instance a problem keeps and refills."""
+
+
+KEPT_GLOBAL = None
+
+
+def kept_attribute(fill, n):
+    holder = types.SimpleNamespace(jac=None)
+
+    def jacobian(x):
+        holder.jac = fill(x)
+        return holder.jac
+
+    return jacobian, lambda: [holder.jac]
+
+
+def kept_closure(fill, n):
+    jac = None
+
+    def jacobian(x):
+        nonlocal jac
+        jac = fill(x)
+        return jac
+
+    return jacobian, lambda: [jac]
+
+
+def kept_list_item(fill, n):
+    store = [None]
+
+    def jacobian(x):
+        store[0] = fill(x)
+        return store[0]
+
+    return jacobian, lambda: store
+
+
+def kept_dict_value(fill, n):
+    store = {}
+
+    def jacobian(x):
+        store["J"] = fill(x)
+        return store["J"]
+
+    return jacobian, lambda: list(store.values())
+
+
+def kept_global(fill, n):
+    def jacobian(x):
+        global KEPT_GLOBAL
+        KEPT_GLOBAL = fill(x)
+        return KEPT_GLOBAL
+
+    return jacobian, lambda: [KEPT_GLOBAL]
+
+
+def kept_memoryview(fill, n):
+    store = [None]
+
+    def jacobian(x):
+        store[0] = fill(x)
+        return memoryview(store[0])
+
+    return jacobian, lambda: store
+
+
+def kept_transpose(fill, n):
+    base = np.zeros((n, n))
+
+    def jacobian(x):
+        base[...] = fill(x).T
+        return base.T
+
+    return jacobian, lambda: [base]
+
+
+def kept_block(fill, n):
+    # an n x n Fortran-contiguous block of a wider buffer
+    buffer = np.zeros((n, 3 * n), order="F")
+
+    def jacobian(x):
+        buffer[:, n : 2 * n] = fill(x)
+        return buffer[:, n : 2 * n]
+
+    return jacobian, lambda: [buffer]
+
+
+def kept_refilled(fill, n):
+    buffer = np.zeros((n, n), order="F")
+
+    def jacobian(x):
+        buffer[...] = fill(x)
+        return buffer
+
+    return jacobian, lambda: [buffer]
+
+
+def kept_subclass(fill, n):
+    instance = KeptSubclass((n, n), order="F")
+
+    def jacobian(x):
+        instance[...] = fill(x)
+        return instance
+
+    return jacobian, lambda: [instance]
+
+
+def fresh_kind(convert):
+    return lambda fill, n: ((lambda x: convert(fill(x))), lambda: [])
+
+
+JACOBIAN_KINDS = {
+    **{name: fresh_kind(convert) for name, convert in FRESH_KINDS.items()},
+    "attribute": kept_attribute,
+    "closure": kept_closure,
+    "list_item": kept_list_item,
+    "dict_value": kept_dict_value,
+    "global": kept_global,
+    "memoryview": kept_memoryview,
+    "transpose": kept_transpose,
+    "block": kept_block,
+    "refilled": kept_refilled,
+    "subclass": kept_subclass,
+}
+
+
+class TestJacobianKinds:
+    """The bound on the reference count: however a problem returns its
+    Jacobian, the run is the one a fresh Fortran-ordered copy gives, nothing
+    the problem keeps changes, and getrf overwrites only a fresh float64
+    Fortran-ordered array, and only where the count is trusted.
+
+    _outer_step is the one place that decides this, and two numpy traps stand
+    in the way of a shorter test there.  flags.farray reads True for a
+    read-only Fortran-ordered array, and scipy's getrf with overwrite_a then
+    writes into it.  Binding jac.flags to a local before sys.getrefcount adds
+    a reference to jac (2 -> 3 on CPython 3.11), so every Jacobian would be
+    copied.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([4, 5, 31]),
+        m=st.integers(1, 4),
+        early_exit=st.booleans(),
+        record=st.booleans(),
+        trusted=st.booleans(),
+        kind=st.sampled_from(sorted(JACOBIAN_KINDS)),
+    )
+    # one example per mutant of the ownership test that each kind exposes
+    @example(n=31, m=2, early_exit=False, record=False, trusted=True, kind="float64_F")
+    @example(n=31, m=2, early_exit=False, record=False, trusted=True, kind="attribute")
+    @example(n=31, m=2, early_exit=False, record=False, trusted=True, kind="transpose")
+    @example(n=31, m=2, early_exit=False, record=False, trusted=True, kind="C_order")
+    @example(n=31, m=2, early_exit=False, record=False, trusted=True, kind="read_only")
+    @example(n=4, m=1, early_exit=False, record=False, trusted=True, kind="refilled")
+    def test_run_and_kept_arrays(self, n, m, early_exit, record, trusted, kind):
+        d = cyclic_problem(n)
+        cfg = SolverConfig(m=m, inner_early_exit=early_exit, record_inner=record)
+        # the same values, as a new Fortran-ordered float64 array on each call
+        copied, _ = JACOBIAN_KINDS[kind](d.jacobian, n)
+        expected = solve(
+            dataclasses.replace(d, jacobian=lambda x: np.array(copied(x), np.float64, order="F")),
+            cfg,
+        )
+
+        jacobian, kept = JACOBIAN_KINDS[kind](d.jacobian, n)
+        last_written = []
+
+        def recording_jacobian(x):
+            jac = jacobian(x)
+            last_written[:] = [(a.tobytes(), a.flags.writeable) for a in kept()]
+            return jac
+
+        # the addresses of the arrays _jacobian_at returned, and of those
+        # lu_factor got, with no reference kept to either
+        checked, factored = [], []
+        real_jacobian_at, real_factor = solver_mod.evaluate_jacobian, solver_mod.lu_factor
+
+        def recording_jacobian_at(problem, x):
+            jac = real_jacobian_at(problem, x)
+            checked.append(address(jac))
+            return jac
+
+        def recording_factor(matrix):
+            # _factor_owned's precondition
+            assert matrix.dtype == np.float64
+            assert matrix.flags.f_contiguous and matrix.flags.writeable
+            factored.append(address(matrix))
+            return real_factor(matrix)
+
+        with (
+            mock.patch.object(solver_mod, "evaluate_jacobian", recording_jacobian_at),
+            mock.patch.object(solver_mod, "lu_factor", recording_factor),
+            mock.patch.object(solver_mod, "_SOLE_LOCAL_REFS",
+                              solver_mod._SOLE_LOCAL_REFS if trusted else 0),
+        ):
+            trace = solve(dataclasses.replace(d, jacobian=recording_jacobian), cfg)
+
+        assert_same_run(trace, expected)
+        assert np.array(trace.residual_norms).tobytes() == np.array(expected.residual_norms).tobytes()
+        assert type(trace.cause) is type(expected.cause)
+        assert str(trace.cause) == str(expected.cause)
+        assert [(a.tobytes(), a.flags.writeable) for a in kept()] == last_written
+        in_place = trusted and kind in IN_PLACE_KINDS
+        assert [a == b for a, b in zip(factored, checked, strict=True)] == [in_place] * len(checked)
 
 
 def small_jacobians(problem, kind):
