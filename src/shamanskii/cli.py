@@ -235,6 +235,3 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,12 +73,22 @@ class SingularMatrix(ArithmeticError):
     """Elimination hit a pivot below the singularity threshold."""
 
 
+def _real(value, name: str) -> np.ndarray:
+    """``np.asarray(value)``, refusing a complex dtype, whose imaginary part
+    a float64 cast would drop with only a warning."""
+    out = np.asarray(value)
+    if out.dtype.kind == "c":
+        raise TypeError(f"{name} has complex dtype {out.dtype}, expected real values")
+    return out
+
+
 def norm2(v) -> float:
     """Euclidean norm sqrt(sum(v_i**2)); NaN entries propagate to the result.
 
-    A 2-D or higher ``v`` raises :class:`DimensionMismatch`.
+    A 2-D or higher ``v`` raises :class:`DimensionMismatch`, and a complex one
+    ``TypeError``.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(_real(v, "v"), dtype=np.float64)
     if v.ndim > 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     return _norm2(v)
@@ -181,9 +191,10 @@ def lu_factor(matrix) -> LUFactors:
     column as pivot.  A pivot smaller than ``n * eps * norm_inf(A)`` means the
     matrix is singular to working precision and raises :class:`SingularMatrix`
     naming the first such column, instead of letting Inf/NaN leak into later
-    computations.  The caller's matrix is never modified.
+    computations.  A complex matrix raises ``TypeError``.  The caller's
+    matrix is never modified.
     """
-    lu, piv, n = _factor_owned(np.array(matrix, dtype=np.float64, order="F"))
+    lu, piv, n = _factor_owned(np.array(_real(matrix, "matrix"), dtype=np.float64, order="F"))
     # no copies at n >= LAPACK_MIN_N, where these are getrf's own arrays
     lu, piv = np.asarray(lu), np.asarray(piv, dtype=np.int32)
     lu.setflags(write=False)
@@ -245,21 +256,22 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     them: an ``lu`` that is not n x n or a ``piv`` of other than n entries
     raises :class:`DimensionMismatch`; a non-integer ``n``, a pivot outside
     ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``; a zero on
-    the diagonal of ``U`` raises :class:`SingularMatrix` naming the first.
+    the diagonal of ``U`` raises :class:`SingularMatrix` naming the first.  A
+    complex ``b`` or ``lu`` raises ``TypeError``.
     """
     n = factors.n
     # (2,) == (2.0,), so a float n would pass every shape check below
     if not isinstance(n, Integral):
         raise ValueError(f"factors.n must be an integer, got {n!r}")
     # not a copy: only getrs writes to b, and it gets its own
-    x = np.asarray(b, dtype=np.float64)
+    x = np.asarray(_real(b, "right-hand side"), dtype=np.float64)
     if x.shape != (n,) or not n:
         if x.ndim != 1 or x.size == 0:
             raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     # the pivots checked are a copy, which no other thread can write to and
     # which getrs may shift in place
-    lu, piv = np.asarray(factors.lu), np.array(factors.piv)
+    lu, piv = _real(factors.lu, "factors.lu"), np.array(factors.piv)
     if lu.shape != (n, n) or piv.shape != (n,):
         raise DimensionMismatch(
             f"factors of size {n} need lu of shape {(n, n)} and piv of shape "

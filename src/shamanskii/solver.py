@@ -288,11 +288,22 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     Returns ``(new_x, residual_norm, inner_steps)``.  This is exactly one
     outer iteration of :func:`solve`, exposed so the sweep can be exercised
     in isolation; failures surface as exceptions here instead of trace
-    statuses.  ``x`` gets the same shape check as a start point in :func:`solve`.
+    statuses.  ``x`` gets the checks of a start point in :func:`solve`: a
+    wrong shape raises :class:`DimensionMismatch`, a domain exit at ``x``
+    raises the :class:`DomainViolation`, and a non-finite ``x`` or F(x)
+    raises the :class:`NonFiniteIterate` that :func:`solve` would record,
+    unless J(x) fails to factor: that failure, which :func:`solve` never
+    meets from such a start, is raised first.  A non-finite value inside the
+    sweep raises :class:`NonFiniteIterate` saying after how many chord updates.
     """
     cfg = SolverConfig(m=m)
     x = _checked(problem, "x", x, (problem.dim,))
-    x_new, rhs_new, steps, cause = _outer_step(problem, x, evaluate_f(problem, x), cfg)
+    rhs, start_cause = _residual(problem, x, 0)
+    if rhs is None:
+        raise start_cause
+    x_new, rhs_new, steps, cause = _outer_step(problem, x, rhs, cfg)
+    if steps is not None and start_cause is not None:
+        raise start_cause
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:

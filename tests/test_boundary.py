@@ -7,12 +7,13 @@ checks only what those return.  These tests pin both halves of that contract.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import shamanskii.solver as solver_mod
-from shamanskii.linalg import DimensionMismatch
+from shamanskii.linalg import DimensionMismatch, LUFactors, lu_factor, lu_solve, norm2
 from shamanskii.problems import (
     Problem,
     evaluate_f,
@@ -129,3 +130,77 @@ class TestCallablesGetFloat64Vectors:
         p, seen = recording(base)
         outer_step(p, START_FORMS[form](base.start), 3)
         _assert_float64_vectors(seen, base.dim)
+
+
+def complex_plane():
+    # F(x) = [x0 - 1 + 0.5j, x1 - 2], J = I: a float64 cast would drop the
+    # 0.5j and report a root at [1, 2], where |F| = 0.5
+    return Problem("cx", 2, lambda x: np.array([x[0] - 1.0 + 0.5j, x[1] - 2.0]),
+                   lambda x: np.eye(2), np.zeros(2))
+
+
+COMPLEX_INPUTS = {
+    "solve_residual": (lambda: solve(complex_plane()), r"problem 'cx': residual\(x\)"),
+    "solve_jacobian": (
+        lambda: solve(dataclasses.replace(plane(), jacobian=lambda x: np.eye(2) + 0j)),
+        r"problem 'plane': jacobian\(x\)",
+    ),
+    "solve_start": (
+        lambda: solve(dataclasses.replace(plane(), start=np.array([0.5 + 1j, 0.5]))),
+        r"problem 'plane': x",
+    ),
+    "outer_step_x": (lambda: outer_step(plane(), np.array([0.5, 0.5j]), 1), r"problem 'plane': x"),
+    "evaluate_f": (lambda: evaluate_f(complex_plane(), np.zeros(2)),
+                   r"problem 'cx': residual\(x\)"),
+    "evaluate_jacobian_x": (lambda: evaluate_jacobian(plane(), np.zeros(2, np.complex64)),
+                            r"problem 'plane': x"),
+    "fd_jacobian_x": (lambda: fd_jacobian(plane(), [1j, 0.0]), r"problem 'plane': x"),
+    "lu_factor_n2": (lambda: lu_factor(np.eye(2) * (1 + 1j)), "matrix"),
+    "lu_factor_n5": (lambda: lu_factor(np.eye(5) * (1 + 1j)), "matrix"),
+    "lu_solve_b": (lambda: lu_solve(lu_factor(np.eye(2)), [1.0 + 1j, 2.0]), "right-hand side"),
+    "lu_solve_lu_n2": (
+        lambda: lu_solve(LUFactors(np.eye(2) * (1 + 1j), np.arange(2, dtype=np.int32), 2),
+                         np.ones(2)),
+        r"factors\.lu",
+    ),
+    "lu_solve_lu_n5": (
+        lambda: lu_solve(LUFactors(np.eye(5) * (1 + 1j), np.arange(5, dtype=np.int32), 5),
+                         np.ones(5)),
+        r"factors\.lu",
+    ),
+    "norm2": (lambda: norm2(np.array([3.0 + 4j, 0.0])), "v"),
+}
+
+
+class TestComplexValuesRejected:
+    """A complex value raises TypeError where it enters the package, before
+    any cast, instead of losing its imaginary part to a float64 cast."""
+
+    @pytest.mark.parametrize("case", sorted(COMPLEX_INPUTS))
+    def test_raises_type_error(self, case):
+        call, name = COMPLEX_INPUTS[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match=rf"^{name} has complex dtype complex(64|128), "
+                                                r"expected real values$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [True, False],
+            [1, -2],
+            np.array([3, 4], dtype=np.int8),
+            np.array([0.5, 2], dtype=object),
+            np.array([0.1, 0.2], dtype=np.float32),
+            np.array([0.1, 0.2], dtype=">f8"),
+        ],
+        ids=["bool", "int", "int8", "object", "float32", "big_endian"],
+    )
+    def test_real_returns_keep_their_float64_cast(self, value):
+        p = dataclasses.replace(plane(), residual=lambda x: value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evaluate_f(p, np.zeros(2))
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.asarray(value, dtype=np.float64).tobytes()

@@ -522,6 +522,16 @@ class TestFaultInjection:
             outer_step(faulty, p.start, m=3)
 
 
+@st.composite
+def first_steps(draw):
+    """A problem (a, b, c, e, or d at n = 5) from a start within +-1 of its
+    own, and an m."""
+    name = draw(st.sampled_from(["a", "b", "c", "d", "e"]))
+    p = cyclic_problem(5) if name == "d" else registry_get(name)
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=p.dim, max_size=p.dim))
+    return dataclasses.replace(p, start=p.start + np.array(offsets)), draw(st.integers(1, 4))
+
+
 class TestOuterStep:
     def test_hand_derived_newton_step(self):
         # J = [[2, 2], [2, -2]], F = [1, 0.5]  =>  step = [0.375, 0.125]
@@ -557,6 +567,60 @@ class TestOuterStep:
         message = r"^expected a nonempty square matrix, got shape \(0, 0\)$"
         with pytest.raises(DimensionMismatch, match=message):
             outer_step(p, p.start, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first_steps())
+    # x1 = 0 leaves c's domain at the start point; x0 = 0 makes b's J singular
+    @example((dataclasses.replace(registry_get("c"), start=np.array([1.0, 0.0, 2.0])), 2))
+    @example((dataclasses.replace(registry_get("b"), start=np.array([0.0, 1.0])), 3))
+    def test_is_the_first_outer_iteration_of_solve(self, case):
+        p, m = case
+        trace = solve(p, SolverConfig(m=m, max_outer=1))
+        if trace.cause is None:
+            # solve makes no step from a start point that has converged
+            if trace.it_inv == 1:
+                x_new, res, steps = outer_step(p, p.start, m)
+                assert x_new.tobytes() == trace.outer_iterates[1].tobytes()
+                assert np.float64(res).tobytes() == np.float64(trace.residual_norms[1]).tobytes()
+                assert steps == trace.it_tot
+            return
+        if isinstance(trace.cause, NonFiniteIterate) and trace.it_inv == 1:
+            message = f"non-finite iterate after {trace.it_tot} chord update(s)"
+        else:
+            message = str(trace.cause)
+        with pytest.raises(type(trace.cause)) as raised:
+            outer_step(p, p.start, m)
+        assert type(raised.value) is type(trace.cause)
+        assert str(raised.value) == message
+
+
+def identity_problem(residual, start):
+    """A 2-D problem with F = ``residual`` and J = I."""
+    return Problem("start", 2, residual, lambda x: np.eye(2), np.array(start))
+
+
+class TestOuterStepStartPoint:
+    """A failure at its start point raises what solve records there."""
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            (identity_problem(lambda x: x, [np.nan, 0.0]), "non-finite start point"),
+            (identity_problem(lambda x: np.array([np.inf, 0.0]), [1.0, 0.0]),
+             "non-finite residual at the start point"),
+            (identity_problem(leave_domain, [1.0, 0.0]),
+             "problem 'faulty': x[0] is outside the injected domain"),
+        ],
+        ids=["nan_start", "non_finite_residual", "domain_exit"],
+    )
+    def test_raises_the_cause_solve_records(self, p, message):
+        trace = solve(p)
+        assert trace.it_inv == 0
+        assert str(trace.cause) == message
+        with pytest.raises(type(trace.cause)) as raised:
+            outer_step(p, p.start, 2)
+        assert type(raised.value) is type(trace.cause)
+        assert str(raised.value) == message
 
 
 class TestNewtonSolve:
