@@ -7,6 +7,7 @@ hand-coded derivatives.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -176,29 +177,44 @@ def _jacobian_c(x):
                      np.exp(x0), 0.0, -2.0 * x2]).reshape(3, 3)
 
 
+@functools.lru_cache(maxsize=64)
+def _cyclic_index(n):
+    # For d at size n: shift maps i to i + 1, wrapping n - 1 to 0, and the
+    # positions are those of the entries (i, shift[i]) in the flat view of a
+    # Fortran-ordered n x n buffer, entry (i, j) being entry i + j * n.  Both
+    # are shared between calls and threads, so they are read-only.
+    shift = np.roll(np.arange(n), -1)
+    positions = np.arange(n) + n * shift
+    shift.setflags(write=False)
+    positions.setflags(write=False)
+    return shift, positions
+
+
 def _residual_d(x):
-    # F_i = x_i * x_{i+1} - 1 with the last index wrapping around to x_0; the
-    # same bytes as x * np.roll(x, -1) - 1.0, without np.roll's temporaries
-    f = np.empty_like(x)
-    np.multiply(x[:-1], x[1:], out=f[:-1])
-    f[-1] = x[-1] * x[0]
+    # F_i = x_i * x_{i+1} - 1 with the last index wrapping around to x_0: the
+    # operations, and so the bytes and floating-point errors, of
+    # x * np.roll(x, -1) - 1.0, gathering x[shift] in place of np.roll's copies
+    f = x * x[_cyclic_index(len(x))[0]]
     f -= 1.0
     return f
 
 
 def _jacobian_d(x):
-    # dF_i/dx_i = x_{i+1} and dF_i/dx_{i+1} = x_i, indices wrapping around.
-    # Entry (i, j) of the Fortran-ordered buffer is entry i + j * n of its flat
-    # view, so the diagonal is every (n + 1)-th entry from 0, the superdiagonal
-    # every (n + 1)-th from n, and the corner (n - 1, 0) is entry n - 1.
-    n = x.shape[0]
+    # dF_i/dx_i = x_{i+1} and dF_i/dx_{i+1} = x_i, indices wrapping around: the
+    # diagonal is every (n + 1)-th entry of the buffer's flat view from 0, and
+    # the other entries are at the cached positions
+    n = len(x)
+    shift, positions = _cyclic_index(n)
     jac = np.zeros((n, n), order="F")  # the layout LAPACK factors in (see Problem)
-    flat = jac.reshape(-1, order="F")  # a view, so jac keeps owning its memory
-    diagonal = flat[:: n + 1]
-    diagonal[:-1] = x[1:]
-    diagonal[-1] = x[0]
-    flat[n :: n + 1] = x[:-1]
-    flat[n - 1] = x[-1]
+    flat = jac.ravel("F")  # a view, so jac keeps owning its memory
+    flat[:: n + 1] = x[shift]
+    flat[positions] = x
+    if n == 1:
+        # F = x0 * x0 - 1, so both terms fall on the one entry: 2 * x0.  An
+        # overflow reads inf without a floating-point error, as d's Jacobian
+        # is otherwise a copy of x and never warns or raises
+        with np.errstate(over="ignore"):
+            flat += x
     return jac
 
 

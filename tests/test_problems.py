@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from shamanskii.problems import (
     DomainViolation,
     Problem,
     UnknownProblem,
+    _cyclic_index,
     check_jacobian,
     evaluate_f,
     evaluate_jacobian,
@@ -22,7 +25,7 @@ from shamanskii.problems import (
     registry_get,
     registry_names,
 )
-from shamanskii.solver import newton_solve
+from shamanskii.solver import SolverConfig, SolveStatus, newton_solve, solve
 
 # Roots of (a) and (c) have no closed form here; these were pinned from a
 # converged run and act as regression fixtures.
@@ -120,9 +123,12 @@ D_ENTRIES = st.one_of(
 
 
 def scattered_jacobian_d(x):
-    """d's Jacobian by the fancy-index scatters that problem d used before it
-    wrote through strided slices of its buffer's flat view."""
+    """d's Jacobian by fancy-index scatters into a zero matrix; at n = 1,
+    F = x0 * x0 - 1, so its one entry is x0 + x0."""
     n = x.shape[0]
+    if n == 1:
+        with np.errstate(over="ignore"):
+            return np.array([[x[0] + x[0]]])
     rows = np.arange(n)
     cols = (rows + 1) % n
     jac = np.zeros((n, n), order="F")
@@ -285,6 +291,89 @@ class TestSmallSystemsKeepTheirBytes:
             with np.errstate(all=policy):
                 for ours, theirs in zip((problem.residual, problem.jacobian), reference):
                     assert evaluation(ours, x) == evaluation(theirs, x), (policy, ours.__name__)
+
+
+def rolled_residual_d(x):
+    """d's residual as documented: the oracle for its bytes and exceptions."""
+    return x * np.roll(x, -1) - 1.0
+
+
+def cyclic_problem(n, start=-2.0):
+    """Problem d at size ``n``, started at ``start`` in every coordinate."""
+    return dataclasses.replace(registry_get("d"), dim=n, start=np.full(n, start))
+
+
+CYCLIC_SIZES = [1, 2, 3, 4, 5, 31, 301]
+
+
+class TestCyclicSystemAtAnySize:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(CYCLIC_SIZES).flatmap(lambda n: arrays(np.float64, n, elements=D_ENTRIES))
+    )
+    # the wrap-around product alone overflows: the same multiply must raise
+    @example(np.array([1e200, 1e-200, 1e200]))
+    def test_residual_matches_the_rolled_product(self, x):
+        residual = registry_get("d").residual
+        for policy in ("ignore", "raise"):
+            with np.errstate(all=policy):
+                assert evaluation(residual, x) == evaluation(rolled_residual_d, x), policy
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_jacobian_matches_central_differences(self, n):
+        result = check_jacobian(cyclic_problem(n))
+        assert result.max_rel_error < cli_mod.JACOBIAN_RTOL
+        assert (result.points_checked, result.points_skipped) == (11, 0)
+
+    def test_single_equation_converges(self):
+        # F = x0 * x0 - 1 from 3: Newton's steps need J = 2 * x0
+        trace = solve(cyclic_problem(1, start=3.0), SolverConfig(m=1))
+        assert trace.status is SolveStatus.CONVERGED
+        assert abs(trace.x[0] - 1.0) <= 1e-15
+
+    def test_cached_index_is_read_only(self):
+        for array in _cyclic_index(5):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cache_stays_bounded(self):
+        d = registry_get("d")
+        for n in range(1, 201):
+            x = np.full(n, -1.0)
+            d.residual(x)
+            d.jacobian(x)
+        info = _cyclic_index.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+    def test_threads_give_the_serial_bytes(self):
+        d = registry_get("d")
+        points = [np.random.default_rng(n).uniform(-3.0, 3.0, n) for n in CYCLIC_SIZES]
+        expected = [(d.residual(x).tobytes(), d.jacobian(x).tobytes()) for x in points]
+        _cyclic_index.cache_clear()  # the threads race to fill it
+        barrier = threading.Barrier(4, timeout=60)
+        mismatches = []
+
+        def work(offset):
+            barrier.wait()
+            for k in range(50 * len(points)):
+                i = (offset + k) % len(points)
+                got = (d.residual(points[i]).tobytes(), d.jacobian(points[i]).tobytes())
+                if got != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
 
 class TestDomain:
