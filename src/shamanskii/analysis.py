@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import log
+from math import inf, log
 
 import numpy as np
 
@@ -25,9 +25,10 @@ class CocReport:
     """Computed order of convergence, or the reason it is unavailable.
 
     ``rho`` is ``None`` ("NA") when the run did not converge, fewer than four
-    outer iterates exist, or the difference norms degenerate; ``reason`` says
-    which.  ``points_used`` are the trailing outer iterates that entered the
-    estimate and ``diffs`` the norms of their consecutive differences.
+    outer iterates exist, or the difference norms degenerate or leave
+    float64's range; ``reason`` says which.  ``points_used`` are the trailing
+    outer iterates that entered the estimate and ``diffs`` the norms of their
+    consecutive differences.
     """
 
     rho: float | None
@@ -59,6 +60,10 @@ def estimate_coc(trace: SolveTrace) -> CocReport:
         return CocReport(None, points, diffs, "fewer than four outer iterates")
     if min(diffs) == 0.0:
         return CocReport(None, points, diffs, "zero difference between consecutive iterates")
+    # a norm that overflowed, or a ratio of two norms that left float64's
+    # range; spelled out, as a generator costs 1 us more per suite cell
+    if not (0.0 < diffs[1] / diffs[0] < inf and 0.0 < diffs[2] / diffs[1] < inf):
+        return CocReport(None, points, diffs, "difference norms out of floating-point range")
     denominator = log(diffs[1] / diffs[0])
     if denominator == 0.0:
         return CocReport(None, points, diffs, "equal consecutive difference norms")

@@ -86,40 +86,26 @@ def render_json(report: SuiteReport) -> str:
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage problems must exit 1, not argparse's default 2.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _argtype(read):
+    """``read`` as an argparse type: the ValueError or LookupError of the
+    library's own check is reported as the usage error."""
+    def parse(text: str):
+        try:
+            return read(text)
+        except (ValueError, LookupError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _problem(name: str):
-    try:
-        return registry_get(name)
-    except LookupError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _problem_names(text: str) -> list[str]:
-    names = [s for s in text.split(",") if s]
-    if not names:
-        raise argparse.ArgumentTypeError("expects at least one problem name")
-    for name in names:
-        _problem(name)
-    return names
-
-
-def _ms(text: str) -> list[int]:
-    try:
-        ms = [int(s) for s in text.split(",") if s]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expects comma-separated integers, got {text!r}") from None
-    if not ms:
-        raise argparse.ArgumentTypeError("expects at least one m value")
-    if any(m < 1 for m in ms):
-        raise argparse.ArgumentTypeError("all m values must be >= 1")
-    return ms
+def _comma_list(what: str, read):
+    """An argparse type: a comma-separated list of at least one ``what``,
+    each read by ``read``."""
+    def parse(text: str) -> list:
+        items = [read(s) for s in text.split(",") if s]
+        if not items:
+            raise argparse.ArgumentTypeError(f"expects at least one {what}")
+        return items
+    return _argtype(parse)
 
 
 def _add_solver_flags(parser):
@@ -186,12 +172,12 @@ def _fmt_start(start) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="shamanskii",
-                     description="Frozen-Jacobian Newton solver and benchmark harness.")
+    parser = argparse.ArgumentParser(
+        prog="shamanskii", description="Frozen-Jacobian Newton solver and benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="solve one problem")
-    run.add_argument("--problem", type=_problem, required=True,
+    run.add_argument("--problem", type=_argtype(registry_get), required=True,
                      help="problem name (see list-problems)")
     run.add_argument("--m", type=int, default=SolverConfig.m,
                      help="inner updates per factorization (default: %(default)s)")
@@ -201,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     suite = sub.add_parser("suite", help="run the benchmark grid")
-    suite.add_argument("--problems", type=_problem_names, default=",".join(registry_names()),
+    suite.add_argument("--problems", default=",".join(registry_names()),
+                       type=_comma_list("problem name", lambda s: registry_get(s).name),
                        help="comma-separated problem names (default: %(default)s)")
-    suite.add_argument("--ms", type=_ms, default="1,2,3,4",
-                       help="comma-separated m values (default: %(default)s)")
+    suite.add_argument("--ms", type=_comma_list("m value", lambda s: SolverConfig(m=int(s)).m),
+                       default="1,2,3,4", help="comma-separated m values (default: %(default)s)")
     _add_solver_flags(suite)
     suite.add_argument("--format", choices=sorted(_RENDERERS), default="table",
                        help="output format (default: table)")
@@ -232,6 +219,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 parser.error(str(exc))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     return args.func(args)
 

@@ -293,17 +293,21 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     raises the :class:`DomainViolation`, and a non-finite ``x`` or F(x)
     raises the :class:`NonFiniteIterate` that :func:`solve` would record,
     unless J(x) fails to factor: that failure, which :func:`solve` never
-    meets from such a start, is raised first.  A non-finite value inside the
-    sweep raises :class:`NonFiniteIterate` saying after how many chord updates.
+    meets from such a start, is raised first.  From such a start no update
+    is made and no further residual evaluated.  A non-finite value inside
+    the sweep raises :class:`NonFiniteIterate` saying after how many chord
+    updates.
     """
     cfg = SolverConfig(m=m)
     x = _checked(problem, "x", x, (problem.dim,))
-    rhs, start_cause = _residual(problem, x, 0)
-    if rhs is None:
-        raise start_cause
+    rhs, cause = _residual(problem, x, 0)
+    if cause is not None:
+        if rhs is not None:
+            # J(x) alone: no update from a start solve rejects; a fresh copy,
+            # as this path skips _outer_step's ownership test
+            lu_factor(np.array(evaluate_jacobian(problem, x), order="F"))
+        raise cause
     x_new, rhs_new, steps, cause = _outer_step(problem, x, rhs, cfg)
-    if steps is not None and start_cause is not None:
-        raise start_cause
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:

@@ -10,7 +10,7 @@ import shamanskii.solver as solver_mod
 from shamanskii import analysis
 from shamanskii.analysis import estimate_coc, run_suite
 from shamanskii.linalg import DimensionMismatch
-from shamanskii.problems import registry_get, registry_names
+from shamanskii.problems import Problem, registry_get, registry_names
 from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace, solve
 
 
@@ -68,6 +68,31 @@ class TestEstimateCoc:
         report = estimate_coc(synthetic_trace([1e-2, 1e-2, 1e-2]))
         assert report.rho is None
         assert "equal consecutive" in report.reason
+
+    @pytest.mark.parametrize(
+        "diff_norms",
+        # a 1e160 jump's norm overflows to inf; 1e150 / 1e-160 overflows
+        [[1e160, 1.0, 1e-2], [1e-160, 1e150, 1e-10]],
+        ids=["overflowed_norm", "overflowed_ratio"],
+    )
+    def test_na_on_norms_out_of_range(self, diff_norms):
+        report = estimate_coc(synthetic_trace(diff_norms))
+        assert report.rho is None
+        assert report.reason == "difference norms out of floating-point range"
+
+    def test_na_on_converged_run_with_overflowed_norms(self):
+        # iterates 4, 2, -1e170, 0, 1: the last four differ by 1e170, 1e170
+        # and 1, whose norms read (inf, inf, 1.0)
+        def jacobian(x):
+            return np.array([[{4.0: 1.5, 2.0: 1e-170}.get(float(x[0]), 1.0)]])
+
+        trace = solve(Problem("far", 1, lambda x: x - 1.0, jacobian, [4.0]))
+        assert trace.status is SolveStatus.CONVERGED
+        assert [float(x[0]) for x in trace.outer_iterates] == [4.0, 2.0, -1e170, 0.0, 1.0]
+        report = estimate_coc(trace)
+        assert report.diffs == (math.inf, math.inf, 1.0)
+        assert report.rho is None
+        assert report.reason == "difference norms out of floating-point range"
 
     def test_na_on_failed_run(self):
         trace = synthetic_trace([1e-1, 1e-2, 1e-4], status=SolveStatus.MAX_ITERATIONS)

@@ -349,6 +349,43 @@ class TestUsage:
         assert "suite" in out
 
 
+class TestUsageErrors:
+    """Every usage error takes argparse's error path and exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--problem", "nope"),
+            ("suite", "--problems", "a,q"),
+            ("suite", "--problems", ","),
+            ("suite", "--ms", ",,"),
+            ("suite", "--ms", "0"),
+            ("suite", "--ms", "x"),
+            ("suite", "--ms", "1,0"),
+            ("run", "--problem", "b", "--m", "0"),
+            ("run", "--problem", "e", "--tol", "nan"),
+            ("suite", "--tol", "inf"),
+            ("suite", "--max-outer", "0"),
+            ("suite", "--format", "xml"),
+            ("suite", "--bogus"),
+            (),
+        ],
+        ids=" ".join,
+    )
+    def test_prints_usage_and_error_and_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: shamanskii")
+        assert ": error: " in err
+
+    @pytest.mark.parametrize("argv", [("suite", "--ms", "0"), ("suite", "--ms", "2,0"),
+                                      ("run", "--problem", "b", "--m", "0")])
+    def test_m_takes_solver_configs_rule(self, capsys, argv):
+        _, _, err = run_cli(capsys, *argv)
+        assert "m must be a positive integer" in err
+
+
 class TestModuleEntryPoint:
     """``python -m shamanskii`` runs the same ``main`` in a fresh interpreter."""
 
@@ -373,6 +410,12 @@ class TestModuleEntryPoint:
 
     def test_usage_error_exits_1(self):
         assert self.run_module("run", "--problem", "nope").returncode == 1
+
+    def test_ms_usage_error_exits_1(self):
+        done = self.run_module("suite", "--ms", "0")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "m must be a positive integer" in done.stderr
 
     def test_numerical_failure_exits_2(self):
         assert self.run_module("suite", "--problems", "b", "--max-outer", "1").returncode == 2

@@ -622,6 +622,22 @@ class TestOuterStepStartPoint:
         assert type(raised.value) is type(trace.cause)
         assert str(raised.value) == message
 
+    def test_makes_no_update_from_a_rejected_start(self):
+        # F = [inf, 0] at the start alone; a residual that raises on a
+        # non-finite input shows any update past the start's cause
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            if not np.isfinite(x).all():
+                raise ValueError("residual called at a non-finite x")
+            return np.array([np.inf, 0.0]) if x.tolist() == [1.0, 0.0] else x
+
+        p = identity_problem(residual, [1.0, 0.0])
+        with pytest.raises(NonFiniteIterate, match="^non-finite residual at the start point$"):
+            outer_step(p, p.start, 3)
+        assert len(calls) == 1
+
 
 class TestNewtonSolve:
     @pytest.mark.parametrize("name", registry_names())
