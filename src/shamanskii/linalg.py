@@ -122,11 +122,7 @@ def _lapack():
 
 class _Factors(NamedTuple):
     """Factors as :func:`_solve` reads them, unchecked: the small kernels'
-    Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up.
-
-    Built with ``tuple.__new__(_Factors, (lu, piv, n))``, which skips the
-    generated Python ``__new__`` and its 0.2 us on every factorization.
-    """
+    Python lists below ``LAPACK_MIN_N``, ``getrf``'s arrays from it up."""
 
     lu: list | np.ndarray
     piv: list | np.ndarray
@@ -164,11 +160,23 @@ class LUFactors:
 
     @property
     def perm(self) -> np.ndarray:
-        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``."""
+        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``; ``piv`` gets
+        :func:`lu_solve`'s pivot check first."""
         perm = np.arange(self.n)
-        for k, p in enumerate(self.piv):
+        for k, p in enumerate(_pivot_list(np.asarray(self.piv), self.n)):
             perm[[k, p]] = perm[[p, k]]
         return perm
+
+
+def _pivot_list(piv: np.ndarray, n: int) -> list:
+    """``piv.tolist()``, once its entries are checked to be integers in 0..n-1."""
+    pivots = piv.tolist()
+    if piv.dtype.kind not in "iu" or not 0 <= min(pivots) <= max(pivots) < n:
+        raise ValueError(
+            f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
+            f"from {piv.min()} to {piv.max()}"
+        )
+    return pivots
 
 
 def _singular(pivot: float, threshold: float, column: int) -> SingularMatrix:
@@ -231,7 +239,7 @@ def _factor_owned(a: np.ndarray) -> _Factors:
             k = int(np.flatnonzero(~(pivots >= threshold) | (pivots == 0.0))[0])
             raise _singular(pivots[k], threshold, k)
         a.setflags(write=False)
-        return tuple.__new__(_Factors, (a, piv, n))
+        return _Factors(a, piv, n)
     return _FACTOR_KERNELS[n](a)
 
 
@@ -277,12 +285,7 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
             f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
             f"{(n,)}, got {lu.shape} and {piv.shape}"
         )
-    pivots = piv.tolist()
-    if piv.dtype.kind not in "iu" or not 0 <= min(pivots) <= max(pivots) < n:
-        raise ValueError(
-            f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
-            f"from {piv.min()} to {piv.max()}"
-        )
+    pivots = _pivot_list(piv, n)
     # else ZeroDivisionError below LAPACK_MIN_N and Inf or NaN from getrs
     diagonal = lu.diagonal().tolist()
     if 0.0 in diagonal:
@@ -327,7 +330,7 @@ def _factor1(a: np.ndarray) -> _Factors:
     threshold = EPS * pivot
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 0)
-    return tuple.__new__(_Factors, ([[a00]], [0], 1))
+    return _Factors([[a00]], [0], 1)
 
 
 def _factor2(a: np.ndarray) -> _Factors:
@@ -348,7 +351,7 @@ def _factor2(a: np.ndarray) -> _Factors:
     pivot = abs(a11)
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 1)
-    return tuple.__new__(_Factors, ([[a00, a01], [l10, a11]], [p0, 1], 2))
+    return _Factors([[a00, a01], [l10, a11]], [p0, 1], 2)
 
 
 def _factor3(a: np.ndarray) -> _Factors:
@@ -389,7 +392,7 @@ def _factor3(a: np.ndarray) -> _Factors:
     if pivot < threshold or pivot == 0.0:
         raise _singular(pivot, threshold, 2)
     lu = [[a00, a01, a02], [l10, a11, a12], [l20, l21, a22]]
-    return tuple.__new__(_Factors, (lu, [p0, p1, 2], 3))
+    return _Factors(lu, [p0, p1, 2], 3)
 
 
 def _solve1(lu: list, piv: list, b: list) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -105,12 +106,20 @@ def fd_jacobian(problem: Problem, x, h: float = 1e-6) -> np.ndarray:
 
     Exact for affine maps up to rounding, O(h**2) accurate otherwise.  Raises
     :class:`DomainViolation` if a perturbed point leaves the problem's domain,
-    so ``x`` should sit inside the domain with margin larger than ``h``.
+    so ``x`` should sit inside the domain with margin larger than ``h``.  An
+    ``h`` that is not a finite positive number raises ``ValueError`` first.
     """
+    _check_step(h)
     v = _checked(problem, "x", x, (problem.dim,))
     columns = [(evaluate_f(problem, v + s) - evaluate_f(problem, v - s)) / (2.0 * h)
                for s in h * np.eye(problem.dim)]
     return np.column_stack(columns)
+
+
+def _check_step(h) -> None:
+    # bool is a Real too, but h=True is a caller's mistake, as points=True is
+    if not (isinstance(h, Real) and not isinstance(h, bool) and 0 < h < math.inf):
+        raise ValueError(f"h must be a finite positive number, got {h!r}")
 
 
 def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
@@ -302,8 +311,12 @@ def check_jacobian(problem: Problem, points: int = 10, h: float = 1e-6) -> Jacob
     each coordinate shifted within +-0.1, drawn from
     ``np.random.default_rng(20240817)``, so every call checks the same points.
     Perturbed points that fall outside the domain are skipped and counted,
-    not treated as failures.
+    not treated as failures.  A ``points`` that is not a non-negative integer,
+    or an ``h`` that :func:`fd_jacobian` refuses, raises ``ValueError`` first.
     """
+    if not (isinstance(points, Integral) and not isinstance(points, bool) and points >= 0):
+        raise ValueError(f"points must be a non-negative integer, got {points!r}")
+    _check_step(h)
     rng = np.random.default_rng(20240817)
     candidates = [problem.start]
     for _ in range(points):

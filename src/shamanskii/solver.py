@@ -34,7 +34,7 @@ __all__ = [
     "newton_solve",
 ]
 
-# At n >= LAPACK_MIN_N, _outer_step alone decides whether getrf may overwrite a
+# At n >= LAPACK_MIN_N, _factors_at alone decides whether getrf may overwrite a
 # Jacobian (see Problem): it copies one that does not own its memory, is not
 # Fortran-ordered and writeable, or is seen by more than its own local.  Not
 # flags.farray: it reads True for a read-only array, which getrf then writes
@@ -185,27 +185,27 @@ def _residual(problem, x, step):
     return rhs, NonFiniteIterate(f"non-finite {what}")
 
 
-def _outer_step(problem, x, rhs, cfg: SolverConfig, inner_record=None):
-    """Factor J(x), then run up to ``cfg.m`` updates ``x <- x - solve(J, F(x))``.
+def _factors_at(problem, x):
+    """J(x)'s factors in kernel form; a failure raises SingularMatrix, the
+    problem's DomainViolation, or NonFiniteInput for a non-finite J."""
+    jac = evaluate_jacobian(problem, x)
+    if problem.dim >= LAPACK_MIN_N and not (
+        jac.flags.owndata and jac.flags.f_contiguous and jac.flags.writeable
+        and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS
+    ):
+        # getrf may not overwrite it where it lies
+        jac = np.array(jac, order="F")
+    return lu_factor(jac)
+
+
+def _sweep(problem, x, rhs, factors, cfg: SolverConfig, inner_record=None):
+    """Run up to ``cfg.m`` updates ``x <- x - solve(J, F(x))`` with J's ``factors``.
 
     ``rhs`` must equal F(x) on entry.  Returns ``(x, rhs, steps, cause)`` and
-    never raises on a numerical failure.  ``steps`` is None when the
-    factorization failed, else the number of updates made; ``x``/``rhs`` hold
-    the last state whose residual evaluation returned.  ``cause`` is the
-    exception behind a failure, if any, stripped of its traceback so that no
-    frame outlives the call.
+    never raises on a numerical failure: ``steps`` is the number of updates
+    made, and ``x``/``rhs`` hold the last state whose residual evaluation
+    returned.  ``cause`` is the exception behind a failure, if any.
     """
-    try:
-        jac = evaluate_jacobian(problem, x)
-        if problem.dim >= LAPACK_MIN_N and not (
-            jac.flags.owndata and jac.flags.f_contiguous and jac.flags.writeable
-            and sys.getrefcount(jac) <= _SOLE_LOCAL_REFS
-        ):
-            # getrf may not overwrite it where it lies
-            jac = np.array(jac, order="F")
-        factors = lu_factor(jac)
-    except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
-        return x, rhs, None, exc.with_traceback(None)
     for steps in range(1, cfg.m + 1):
         x_next = x - lu_solve(factors, rhs)
         rhs_next, cause = _residual(problem, x_next, steps)
@@ -265,9 +265,15 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
 
     while (cause is None and res > cfg.tol and it_inv < cfg.max_outer
            and it_tot + cfg.m <= cfg.total_cap):
-        x, rhs, steps, cause = _outer_step(problem, x, rhs, cfg, inner)
-        if steps is None:
+        try:
+            factors = _factors_at(problem, x)
+        except (SingularMatrix, DomainViolation, NonFiniteInput) as exc:
+            # no traceback, so that no frame outlives the run
+            cause = exc.with_traceback(None)
             break
+        x, rhs, steps, cause = _sweep(problem, x, rhs, factors, cfg, inner)
+        # frees J's buffer before the next J is made
+        del factors
         it_inv += 1
         it_tot += steps
         res = norm2(rhs)
@@ -301,13 +307,12 @@ def outer_step(problem: Problem, x, m: int) -> tuple[np.ndarray, float, int]:
     cfg = SolverConfig(m=m)
     x = _checked(problem, "x", x, (problem.dim,))
     rhs, cause = _residual(problem, x, 0)
+    if rhs is not None:
+        # a failure of J(x) is raised before the start's cause
+        factors = _factors_at(problem, x)
     if cause is not None:
-        if rhs is not None:
-            # J(x) alone: no update from a start solve rejects; a fresh copy,
-            # as this path skips _outer_step's ownership test
-            lu_factor(np.array(evaluate_jacobian(problem, x), order="F"))
         raise cause
-    x_new, rhs_new, steps, cause = _outer_step(problem, x, rhs, cfg)
+    x_new, rhs_new, steps, cause = _sweep(problem, x, rhs, factors, cfg)
     if isinstance(cause, NonFiniteIterate):
         raise NonFiniteIterate(f"non-finite iterate after {steps} chord update(s)")
     if cause is not None:

@@ -935,6 +935,24 @@ class TestHandBuiltFactors:
         with pytest.raises(ValueError, match="got float64 entries"):
             lu_solve(LUFactors(factors.lu, factors.piv.astype(np.float64), n), np.ones(n))
 
+    @pytest.mark.parametrize("bad", ["-1", "float"])
+    def test_perm_refuses_the_pivots_lu_solve_refuses(self, n, bad):
+        # unchecked, perm reads a pivot of -1 as the last row and raises
+        # IndexError on a float one
+        factors = self.factors(n)
+        piv = np.array(factors.piv)
+        if bad == "-1":
+            piv[0] = -1
+        else:
+            piv = piv.astype(np.float64)
+        hand_built = LUFactors(factors.lu, piv, n)
+        messages = []
+        for use in (lambda f: f.perm, lambda f: lu_solve(f, np.ones(n))):
+            with pytest.raises(ValueError, match=fr"^piv must hold integers in 0\.\.{n - 1}, ") as raised:
+                use(hand_built)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_on_the_diagonal_raises(self, n, zero):
         # every band would divide by it; no threshold applies to hand-built factors

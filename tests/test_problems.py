@@ -57,6 +57,24 @@ def nan_at_calls(problem, bad_calls):
     return dataclasses.replace(problem, jacobian=jacobian)
 
 
+def counted(problem):
+    """``problem`` whose residual and Jacobian calls land in the returned list."""
+    calls = []
+
+    def residual(x):
+        calls.append("residual")
+        return problem.residual(x)
+
+    def jacobian(x):
+        calls.append("jacobian")
+        return problem.jacobian(x)
+
+    return dataclasses.replace(problem, residual=residual, jacobian=jacobian), calls
+
+
+BAD_STEPS = [np.nan, 0.0, -1e-6, np.inf, True, "1e-6"]
+
+
 class TestRegistry:
     def test_names(self):
         assert registry_names() == ["a", "b", "c", "d", "e"]
@@ -432,6 +450,13 @@ class TestFdJacobian:
         with pytest.raises(DimensionMismatch, match=r"residual\(x\) has shape \(3,\)"):
             fd_jacobian(p, p.start)
 
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    def test_bad_step_raises_before_any_evaluation(self, h):
+        p, calls = counted(registry_get("b"))
+        with pytest.raises(ValueError, match=r"^h must be a finite positive number, got "):
+            fd_jacobian(p, p.start, h)
+        assert calls == []
+
     def test_all_problems_near_start(self):
         rng = np.random.default_rng(12345)
         for name in registry_names():
@@ -501,6 +526,26 @@ class TestCheckJacobian:
         assert capsys.readouterr().out == (
             "problem b: FAIL, max relative error nan at entry (1, 0)\n"
         )
+
+    @pytest.mark.parametrize("points", [-3, -1, True, 2.0, "10"])
+    def test_bad_points_raise_before_any_evaluation(self, points):
+        p, calls = counted(registry_get("b"))
+        with pytest.raises(ValueError, match=r"^points must be a non-negative integer, got "):
+            check_jacobian(p, points=points)
+        assert calls == []
+
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    def test_bad_step_raises_before_any_evaluation(self, h):
+        p, calls = counted(registry_get("b"))
+        with pytest.raises(ValueError, match=r"^h must be a finite positive number, got "):
+            check_jacobian(p, h=h)
+        assert calls == []
+
+    @pytest.mark.parametrize("points", [0, np.int64(2)])
+    def test_points_may_be_any_non_negative_integer(self, points):
+        result = check_jacobian(registry_get("b"), points=points)
+        assert result.points_checked == points + 1
+        assert result.max_rel_error < 1e-5
 
     @staticmethod
     def outside_everywhere():

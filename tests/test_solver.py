@@ -638,6 +638,37 @@ class TestOuterStepStartPoint:
             outer_step(p, p.start, 3)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [LAPACK_MIN_N, 31])
+    @pytest.mark.parametrize("kept", [False, True], ids=["fresh", "kept"])
+    def test_jacobian_follows_the_ownership_rule(self, n, kept, monkeypatch):
+        # F is infinite at the start, whose J(x) is still factored: getrf
+        # overwrites a fresh Fortran-ordered J where it lies, and a copy of
+        # one the problem keeps
+        stored = np.array(np.arange(1.0, n * n + 1).reshape(n, n) + n * n * np.eye(n), order="F")
+        pristine = stored.copy(order="F")
+        # weak references, so that a fresh array stays one nothing else holds
+        returned = []
+
+        def jacobian(x):
+            jac = stored if kept else pristine.copy(order="F")
+            returned.append(weakref.ref(jac))
+            return jac
+
+        reached = []
+        real_factor = solver_mod.lu_factor
+
+        def recording_factor(matrix):
+            reached.append(returned[-1]() is matrix)
+            return real_factor(matrix)
+
+        monkeypatch.setattr(solver_mod, "lu_factor", recording_factor)
+        p = Problem("inf-start", n, lambda x: np.full(n, np.inf), jacobian, np.zeros(n))
+        with pytest.raises(NonFiniteIterate, match="^non-finite residual at the start point$"):
+            outer_step(p, p.start, 2)
+        assert reached == [not kept]
+        assert stored.flags.writeable
+        assert np.array_equal(stored, pristine)
+
 
 class TestNewtonSolve:
     @pytest.mark.parametrize("name", registry_names())
