@@ -160,16 +160,22 @@ class LUFactors:
 
     @property
     def perm(self) -> np.ndarray:
-        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``; ``piv`` gets
-        :func:`lu_solve`'s pivot check first."""
+        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``; the factors get
+        :func:`lu_solve`'s shape and pivot checks first."""
         perm = np.arange(self.n)
-        for k, p in enumerate(_pivot_list(np.asarray(self.piv), self.n)):
+        for k, p in enumerate(_pivot_list(np.shape(self.lu), np.asarray(self.piv), self.n)):
             perm[[k, p]] = perm[[p, k]]
         return perm
 
 
-def _pivot_list(piv: np.ndarray, n: int) -> list:
-    """``piv.tolist()``, once its entries are checked to be integers in 0..n-1."""
+def _pivot_list(lu_shape: tuple, piv: np.ndarray, n: int) -> list:
+    """``piv.tolist()``, once ``lu_shape`` is (n, n) and ``piv`` holds n
+    integers in 0..n-1."""
+    if lu_shape != (n, n) or piv.shape != (n,):
+        raise DimensionMismatch(
+            f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
+            f"{(n,)}, got {lu_shape} and {piv.shape}"
+        )
     pivots = piv.tolist()
     if piv.dtype.kind not in "iu" or not 0 <= min(pivots) <= max(pivots) < n:
         raise ValueError(
@@ -280,12 +286,7 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     # the pivots checked are a copy, which no other thread can write to and
     # which getrs may shift in place
     lu, piv = _real(factors.lu, "factors.lu"), np.array(factors.piv)
-    if lu.shape != (n, n) or piv.shape != (n,):
-        raise DimensionMismatch(
-            f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
-            f"{(n,)}, got {lu.shape} and {piv.shape}"
-        )
-    pivots = _pivot_list(piv, n)
+    pivots = _pivot_list(lu.shape, piv, n)
     # else ZeroDivisionError below LAPACK_MIN_N and Inf or NaN from getrs
     diagonal = lu.diagonal().tolist()
     if 0.0 in diagonal:

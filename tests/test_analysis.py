@@ -9,9 +9,11 @@ import pytest
 import shamanskii.solver as solver_mod
 from shamanskii import analysis
 from shamanskii.analysis import estimate_coc, run_suite
-from shamanskii.linalg import DimensionMismatch
+from shamanskii.linalg import EPS, DimensionMismatch
 from shamanskii.problems import Problem, registry_get, registry_names
 from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace, solve
+
+from test_acceptance import REFERENCE
 
 
 def synthetic_trace(diff_norms, status=SolveStatus.CONVERGED):
@@ -277,3 +279,15 @@ class TestRunSuite:
         report = run_suite(["b"], [np.int64(2)])
         assert type(report.ms[0]) is int and type(report.cells[0].m) is int
         assert report.cell("b", 2) == run_suite(["b"], [2]).cells[0]
+
+
+def test_reference_table_is_float64_at_tol_eps():
+    # the default tol, 10 * eps, leaves (b,1) and (c,4) one outer step short
+    report = run_suite(("a", "b", "c", "d", "e"), (1, 2, 3, 4), SolverConfig(tol=EPS))
+    for (name, m), (it_inv, rho) in REFERENCE.items():
+        cell = report.cell(name, m)
+        assert (cell.status, cell.it_inv) == (SolveStatus.CONVERGED, it_inv), (name, m)
+        if rho is None:
+            assert cell.rho is None, (name, m)
+        else:
+            assert abs(cell.rho - rho) <= 2e-4, (name, m, cell.rho)

@@ -953,6 +953,20 @@ class TestHandBuiltFactors:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("shape", ["short", "2-D"])
+    def test_perm_refuses_the_shapes_lu_solve_refuses(self, n, shape):
+        # unchecked, perm read a short piv as the first swaps of a longer one
+        # and raised TypeError on a 2-D one
+        factors = self.factors(n)
+        piv = factors.piv[:-1] if shape == "short" else factors.piv[np.newaxis]
+        hand_built = LUFactors(factors.lu, piv, n)
+        messages = []
+        for use in (lambda f: f.perm, lambda f: lu_solve(f, np.ones(n))):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"and {piv.shape}")) as raised:
+                use(hand_built)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_on_the_diagonal_raises(self, n, zero):
         # every band would divide by it; no threshold applies to hand-built factors
@@ -1113,7 +1127,7 @@ class TestFactorOwned:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 31])
 def test_factor_owned_returns_exactly_factors(n):
-    # built with tuple.__new__; the benchmark's tracer reads factors.n
+    # a plain _Factors tuple; the benchmark's tracer reads factors.n
     factors = linalg._factor_owned(well_conditioned(n))
     assert type(factors) is linalg._Factors
     assert factors.n == n and factors == (factors.lu, factors.piv, factors.n)

@@ -1055,7 +1055,7 @@ class TestJacobianKinds:
     the problem keeps changes, and getrf overwrites only a fresh float64
     Fortran-ordered array, and only where the count is trusted.
 
-    _outer_step is the one place that decides this, and two numpy traps stand
+    _factors_at is the one place that decides this, and two numpy traps stand
     in the way of a shorter test there.  flags.farray reads True for a
     read-only Fortran-ordered array, and scipy's getrf with overwrite_a then
     writes into it.  Binding jac.flags to a local before sys.getrefcount adds
