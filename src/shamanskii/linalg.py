@@ -139,9 +139,10 @@ class LUFactors:
     ``piv[k]``; it is int32 at every ``n``.
 
     :func:`lu_factor` returns read-only arrays.  Nothing else about the
-    factors is trusted: :func:`lu_solve` checks them on every call, so factors
-    built by hand, replaced, copied, pickled or written to are all safe to
-    solve with.
+    factors is trusted: ``lower``, ``upper``, ``perm`` and :func:`lu_solve`
+    each check them on every read, in one way and with the same messages, so
+    factors built by hand, replaced, copied, pickled or written to are all
+    safe to read and solve with.  :func:`lu_solve` lists what is refused.
     """
 
     lu: np.ndarray
@@ -151,30 +152,39 @@ class LUFactors:
     @property
     def lower(self) -> np.ndarray:
         """Unit lower triangular ``L``, with ``|L[i, j]| <= 1`` (partial pivoting)."""
-        return np.tril(self.lu, -1) + np.eye(self.n)
+        lu, _, _, n = _checked_factors(self)
+        return np.tril(lu, -1) + np.eye(n)
 
     @property
     def upper(self) -> np.ndarray:
         """Upper triangular ``U``; every diagonal entry is above the singularity threshold."""
-        return np.triu(self.lu)
+        return np.triu(_checked_factors(self)[0])
 
     @property
     def perm(self) -> np.ndarray:
-        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``; the factors get
-        :func:`lu_solve`'s shape and pivot checks first."""
-        perm = np.arange(self.n)
-        for k, p in enumerate(_pivot_list(np.shape(self.lu), np.asarray(self.piv), self.n)):
+        """Row ``i`` of ``P A`` is row ``perm[i]`` of ``A``."""
+        _, _, pivots, n = _checked_factors(self)
+        perm = np.arange(n)
+        for k, p in enumerate(pivots):
             perm[[k, p]] = perm[[p, k]]
         return perm
 
 
-def _pivot_list(lu_shape: tuple, piv: np.ndarray, n: int) -> list:
-    """``piv.tolist()``, once ``lu_shape`` is (n, n) and ``piv`` holds n
-    integers in 0..n-1."""
-    if lu_shape != (n, n) or piv.shape != (n,):
+def _checked_factors(factors: LUFactors) -> tuple[np.ndarray, np.ndarray, list, int]:
+    """``lu``, a private copy of ``piv``, ``piv.tolist()`` and ``n`` of
+    ``factors``, once ``n`` is a positive integer, ``lu`` a real n x n array
+    and ``piv`` n integers in 0..n-1: the one check of every reader."""
+    # (2,) == (2.0,), so a float n would pass every shape check below
+    if not isinstance(n := factors.n, Integral) or n < 1:
+        rule = "positive" if isinstance(n, Integral) else "an integer"
+        raise ValueError(f"factors.n must be {rule}, got {n!r}")
+    # the pivots checked are a copy, which no other thread can write to and
+    # which getrs may shift in place
+    lu, piv = _real(factors.lu, "factors.lu"), np.array(factors.piv)
+    if lu.shape != (n, n) or piv.shape != (n,):
         raise DimensionMismatch(
             f"factors of size {n} need lu of shape {(n, n)} and piv of shape "
-            f"{(n,)}, got {lu_shape} and {piv.shape}"
+            f"{(n,)}, got {lu.shape} and {piv.shape}"
         )
     pivots = piv.tolist()
     if piv.dtype.kind not in "iu" or not 0 <= min(pivots) <= max(pivots) < n:
@@ -182,7 +192,8 @@ def _pivot_list(lu_shape: tuple, piv: np.ndarray, n: int) -> list:
             f"piv must hold integers in 0..{n - 1}, got {piv.dtype} entries "
             f"from {piv.min()} to {piv.max()}"
         )
-    return pivots
+    # a bool or numpy n as the int that np.eye and the kernel tables take
+    return lu, piv, pivots, int(n)
 
 
 def _singular(pivot: float, threshold: float, column: int) -> SingularMatrix:
@@ -267,26 +278,21 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     every n.  Reusing one factorization across many right-hand sides is the
     cheap part of the iteration: each call costs O(n^2) against O(n^3) for the
     factorization itself.  The factors are checked before a kernel reads
-    them: an ``lu`` that is not n x n or a ``piv`` of other than n entries
-    raises :class:`DimensionMismatch`; a non-integer ``n``, a pivot outside
-    ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``; a zero on
-    the diagonal of ``U`` raises :class:`SingularMatrix` naming the first.  A
-    complex ``b`` or ``lu`` raises ``TypeError``.
+    them, as ``LUFactors.lower``, ``upper`` and ``perm`` check them: an
+    ``lu`` that is not n x n or a ``piv`` of other than n entries raises
+    :class:`DimensionMismatch`; a non-integer or non-positive ``n``, a pivot
+    outside ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``; a
+    complex ``lu`` raises ``TypeError``.  Here alone, a zero on the diagonal
+    of ``U`` raises :class:`SingularMatrix` naming the first, and a complex
+    ``b`` raises ``TypeError``.
     """
-    n = factors.n
-    # (2,) == (2.0,), so a float n would pass every shape check below
-    if not isinstance(n, Integral):
-        raise ValueError(f"factors.n must be an integer, got {n!r}")
     # not a copy: only getrs writes to b, and it gets its own
     x = np.asarray(_real(b, "right-hand side"), dtype=np.float64)
-    if x.shape != (n,) or not n:
-        if x.ndim != 1 or x.size == 0:
-            raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0:
+        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
+    lu, piv, pivots, n = _checked_factors(factors)
+    if x.shape[0] != n:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-    # the pivots checked are a copy, which no other thread can write to and
-    # which getrs may shift in place
-    lu, piv = _real(factors.lu, "factors.lu"), np.array(factors.piv)
-    pivots = _pivot_list(lu.shape, piv, n)
     # else ZeroDivisionError below LAPACK_MIN_N and Inf or NaN from getrs
     diagonal = lu.diagonal().tolist()
     if 0.0 in diagonal:

@@ -141,6 +141,13 @@ class TestSuite:
         na = [r for r in records if r["problem"] == "a" and r["m"] == 4]
         assert na[0]["rho"] is None
 
+    def test_json_has_the_layout_of_json_dumps(self, capsys):
+        # render_json writes indent=2's layout from json's C encoder, whose
+        # output may differ between Python versions
+        code, out, _ = run_cli(capsys, "suite", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_format_parity(self, capsys):
         _, table_out, _ = run_cli(capsys, "suite")
         _, csv_out, _ = run_cli(capsys, "suite", "--format", "csv")

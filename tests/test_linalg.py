@@ -997,6 +997,56 @@ class TestHandBuiltFactors:
         assert x.tobytes() == lu_solve(factors, b).tobytes()
 
 
+_EYE3, _PIV3 = np.eye(3), np.arange(3, dtype=np.int32)
+_SIZE_RULE = "factors of size {0} need lu of shape ({0}, {0}) and piv of shape ({0},), got "
+# name: (lu, piv, n, the exception, its message)
+MALFORMED_FACTORS = {
+    "n=0": (np.zeros((0, 0)), _PIV3[:0], 0, ValueError, "factors.n must be positive, got 0"),
+    "float-n": (_EYE3, _PIV3, 3.0, ValueError, "factors.n must be an integer, got 3.0"),
+    "n-below-lu": (_EYE3, _PIV3, 2, DimensionMismatch, _SIZE_RULE.format(2) + "(3, 3) and (3,)"),
+    "1-D-lu": (np.arange(1.0, 5.0), np.arange(4, dtype=np.int32), 4, DimensionMismatch,
+               _SIZE_RULE.format(4) + "(4,) and (4,)"),
+    "complex-lu": (_EYE3 + 0j, _PIV3, 3, TypeError,
+                   "factors.lu has complex dtype complex128, expected real values"),
+    "short-piv": (_EYE3, _PIV3[:2], 3, DimensionMismatch, _SIZE_RULE.format(3) + "(3, 3) and (2,)"),
+    "2-D-piv": (_EYE3, _PIV3[np.newaxis], 3, DimensionMismatch, _SIZE_RULE.format(3) + "(3, 3) and (1, 3)"),
+    "pivot-3": (_EYE3, np.array([0, 1, 3], np.int32), 3, ValueError,
+                "piv must hold integers in 0..2, got int32 entries from 0 to 3"),
+    "float-piv": (_EYE3, _PIV3.astype(np.float64), 3, ValueError,
+                  "piv must hold integers in 0..2, got float64 entries from 0.0 to 2.0"),
+}
+FACTOR_READERS = {
+    "lower": lambda f: f.lower,
+    "upper": lambda f: f.upper,
+    "perm": lambda f: f.perm,
+    "lu_solve": lambda f: lu_solve(f, np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("reader", FACTOR_READERS.values(), ids=FACTOR_READERS.keys())
+@pytest.mark.parametrize("case", MALFORMED_FACTORS.values(), ids=MALFORMED_FACTORS.keys())
+def test_every_reader_refuses_malformed_factors_alike(case, reader):
+    """``lower``, ``upper``, ``perm`` and ``lu_solve`` make one check of
+    hand-built factors, so each raises the same exception with the same
+    message."""
+    lu, piv, n, kind, message = case
+    with pytest.raises(kind) as raised:
+        reader(LUFactors(lu, piv, n))
+    assert (type(raised.value), str(raised.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("n", [True, np.int32(3), np.uint8(3)], ids=["True", "int32", "uint8"])
+def test_every_reader_takes_an_integer_n_of_any_type(n):
+    # lower raised TypeError from np.eye on an n of True, which lu_solve took as 1
+    size = int(n)
+    factors = TestHandBuiltFactors.factors(size)
+    hand_built = LUFactors(factors.lu, factors.piv, n)
+    for name in ("lower", "upper", "perm"):
+        assert np.array_equal(getattr(hand_built, name), getattr(factors, name))
+    b = np.arange(1.0, size + 1.0)
+    assert lu_solve(hand_built, b).tobytes() == lu_solve(factors, b).tobytes()
+
+
 class TestCheapChecks:
     """The checks made without copies give the outcomes the copying ones did."""
 
