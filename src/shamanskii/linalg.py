@@ -74,12 +74,14 @@ class SingularMatrix(ArithmeticError):
 
 
 def _real(value, name: str) -> np.ndarray:
-    """``np.asarray(value)``, refusing a complex dtype, whose imaginary part
-    a float64 cast would drop with only a warning."""
+    """``value`` as a float64 array, not copied if it is one already: the one
+    rule for a real array input.  A complex dtype, whose imaginary part the
+    cast would drop with only a warning, raises ``TypeError``; a value numpy
+    cannot read as float64, such as a string, raises numpy's ``ValueError``."""
     out = np.asarray(value)
     if out.dtype.kind == "c":
         raise TypeError(f"{name} has complex dtype {out.dtype}, expected real values")
-    return out
+    return np.asarray(out, dtype=np.float64)
 
 
 def norm2(v) -> float:
@@ -88,7 +90,7 @@ def norm2(v) -> float:
     A 2-D or higher ``v`` raises :class:`DimensionMismatch`, and a complex one
     ``TypeError``.
     """
-    v = np.asarray(_real(v, "v"), dtype=np.float64)
+    v = _real(v, "v")
     if v.ndim > 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     return _norm2(v)
@@ -142,7 +144,9 @@ class LUFactors:
     factors is trusted: ``lower``, ``upper``, ``perm`` and :func:`lu_solve`
     each check them on every read, in one way and with the same messages, so
     factors built by hand, replaced, copied, pickled or written to are all
-    safe to read and solve with.  :func:`lu_solve` lists what is refused.
+    safe to read and solve with.  Each reads ``lu`` as float64, so ``lower``
+    and ``upper`` are float64 whatever the dtype of a hand-built ``lu``.
+    :func:`lu_solve` lists what is refused.
     """
 
     lu: np.ndarray
@@ -171,9 +175,10 @@ class LUFactors:
 
 
 def _checked_factors(factors: LUFactors) -> tuple[np.ndarray, np.ndarray, list, int]:
-    """``lu``, a private copy of ``piv``, ``piv.tolist()`` and ``n`` of
-    ``factors``, once ``n`` is a positive integer, ``lu`` a real n x n array
-    and ``piv`` n integers in 0..n-1: the one check of every reader."""
+    """``lu`` as float64, a private copy of ``piv``, ``piv.tolist()`` and
+    ``n`` of ``factors``, once ``n`` is a positive integer, ``lu`` a real
+    n x n array and ``piv`` n integers in 0..n-1: the one check of every
+    reader."""
     # (2,) == (2.0,), so a float n would pass every shape check below
     if not isinstance(n := factors.n, Integral) or n < 1:
         rule = "positive" if isinstance(n, Integral) else "an integer"
@@ -219,7 +224,7 @@ def lu_factor(matrix) -> LUFactors:
     computations.  A complex matrix raises ``TypeError``.  The caller's
     matrix is never modified.
     """
-    lu, piv, n = _factor_owned(np.array(_real(matrix, "matrix"), dtype=np.float64, order="F"))
+    lu, piv, n = _factor_owned(np.array(_real(matrix, "matrix"), order="F"))
     # no copies at n >= LAPACK_MIN_N, where these are getrf's own arrays
     lu, piv = np.asarray(lu), np.asarray(piv, dtype=np.int32)
     lu.setflags(write=False)
@@ -281,13 +286,14 @@ def lu_solve(factors: LUFactors, b) -> np.ndarray:
     them, as ``LUFactors.lower``, ``upper`` and ``perm`` check them: an
     ``lu`` that is not n x n or a ``piv`` of other than n entries raises
     :class:`DimensionMismatch`; a non-integer or non-positive ``n``, a pivot
-    outside ``0..n-1`` or a non-integer ``piv`` dtype raises ``ValueError``; a
-    complex ``lu`` raises ``TypeError``.  Here alone, a zero on the diagonal
-    of ``U`` raises :class:`SingularMatrix` naming the first, and a complex
-    ``b`` raises ``TypeError``.
+    outside ``0..n-1``, a non-integer ``piv`` dtype or an ``lu`` that numpy
+    cannot read as float64 raises ``ValueError``; a complex ``lu`` raises
+    ``TypeError``.  Here alone, a zero on the diagonal of ``U`` raises
+    :class:`SingularMatrix` naming the first, and a complex ``b`` raises
+    ``TypeError``.
     """
     # not a copy: only getrs writes to b, and it gets its own
-    x = np.asarray(_real(b, "right-hand side"), dtype=np.float64)
+    x = _real(b, "right-hand side")
     if x.ndim != 1 or x.size == 0:
         raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {x.shape}")
     lu, piv, pivots, n = _checked_factors(factors)

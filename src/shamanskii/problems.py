@@ -126,7 +126,7 @@ def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
     # Not a copy: residual and jacobian are pure, so they do not write to x.
     out = np.asarray(value)
     if out.dtype is not _F64:
-        out = np.asarray(_real(out, f"problem {problem.name!r}: {name}"), dtype=_F64)
+        out = _real(out, f"problem {problem.name!r}: {name}")
     if out.shape != shape:
         raise DimensionMismatch(
             f"problem {problem.name!r}: {name} has shape {out.shape}, expected {shape}"

@@ -1,18 +1,24 @@
-"""tools/against_parent.py: its line counts, its in-process CLI runs and its report.
+"""tools/against_parent.py: line counts, per-solve lines, in-process CLI runs and report.
 
 The full two-tree run takes a git checkout and two child processes; CI's
 "Against the parent" step makes it.
 """
+import dataclasses
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import shamanskii
 from shamanskii.cli import main
+from shamanskii.linalg import SingularMatrix
+from shamanskii.problems import registry_get
+from shamanskii.solver import SolverConfig, SolveStatus, SolveTrace
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "against_parent.py"
 _spec = importlib.util.spec_from_file_location("against_parent", TOOL)
@@ -82,3 +88,32 @@ def test_report_diffs_unequal_texts():
     diff = against_parent.report("a\nb\n", "a\nc\n").splitlines()
     assert diff[:2] == ["--- parent", "+++ change"]
     assert "-b" in diff and "+c" in diff
+
+
+def hand_built_solves(count):
+    """``count`` solve tuples of problem b at m = 2, each with its own x."""
+    problem, config = registry_get("b"), SolverConfig(m=2)
+    return [(f"starts seed=1 job={i}", problem, config,
+             SolveTrace([problem.start, np.array([0.5, float(i)])], [1.0, 1e-17], 1, 2,
+                        SolveStatus.CONVERGED))
+            for i in range(count)]
+
+
+def test_solve_text_gives_one_line_per_solve():
+    lines = against_parent.solve_text(hand_built_solves(2)).splitlines()
+    assert len(lines) == 3 and lines[0].startswith("solves: 2 sha256: ")
+    line = r"starts seed=1 job=1 problem=b m=2: Converged it_inv=1 it_tot=2 [0-9a-f]{12}"
+    assert re.fullmatch(line, lines[2])
+    assert lines[1].rsplit(" ", 1)[1] != lines[2].rsplit(" ", 1)[1]
+
+
+def test_a_diff_names_only_the_solve_that_differs():
+    solves = hand_built_solves(20)
+    label, problem, config, trace = solves[12]
+    changed = solves[:12] + [(label, problem, config, dataclasses.replace(
+        trace, cause=SingularMatrix("pivot"), status=SolveStatus.SINGULAR_JACOBIAN))] + solves[13:]
+    texts = [against_parent.solve_text(tree) for tree in (solves, changed)]
+    changed_lines = [line for line in against_parent.report(*texts).splitlines()[2:]
+                     if line[:1] in "-+"]
+    assert [line[:8] for line in changed_lines] == ["-solves:", "+solves:", "-starts ", "+starts "]
+    assert all("job=12 " in line for line in changed_lines[2:])

@@ -1047,6 +1047,40 @@ def test_every_reader_takes_an_integer_n_of_any_type(n):
     assert lu_solve(hand_built, b).tobytes() == lu_solve(factors, b).tobytes()
 
 
+def integer_factors(n):
+    """Packed factors of size ``n``: an int64 ``lu`` with a nonzero diagonal
+    and int32 pivots in range."""
+    rng = np.random.default_rng(n)
+    lu = rng.integers(-3, 4, size=(n, n))
+    np.fill_diagonal(lu, rng.choice([-3, -2, -1, 1, 2, 3], size=n))
+    return lu, rng.integers(np.arange(n), n).astype(np.int32)
+
+
+# both bands: the kernels at n = 2 and 3, scipy's LAPACK at n = 5
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float32])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_reader_reads_a_hand_built_lu_as_float64(n, dtype):
+    lu, piv = integer_factors(n)
+    lu = lu.astype(dtype)
+    as_float64 = LUFactors(lu.astype(np.float64), piv, n)
+    hand_built = LUFactors(lu, piv, n)
+    assert hand_built.lower.dtype == hand_built.upper.dtype == np.float64
+    assert hand_built.lower.tobytes() == as_float64.lower.tobytes()
+    assert hand_built.upper.tobytes() == np.triu(lu.astype(np.float64)).tobytes()
+    b = np.arange(1.0, n + 1.0)
+    assert lu_solve(hand_built, b).tobytes() == lu_solve(as_float64, b).tobytes()
+
+
+def test_every_reader_refuses_an_lu_numpy_cannot_read_as_float64():
+    factors = LUFactors(np.array([["a", "b", "c"]] * 3), _PIV3, 3)
+    raised = []
+    for reader in FACTOR_READERS.values():
+        with pytest.raises(ValueError) as error:
+            reader(factors)
+        raised.append((type(error.value), str(error.value)))
+    assert raised == raised[:1] * len(FACTOR_READERS)
+
+
 class TestCheapChecks:
     """The checks made without copies give the outcomes the copying ones did."""
 

@@ -4,10 +4,12 @@
 and prints, for that tree (parent) beside the working tree of this script's
 checkout (change): each module's lines and code lines; each tree's count and
 sha256 of the solves of the benchmark's ``starts`` and ``cyclic`` workloads at
-seeds 1-3; then "identical", or the unified diff of those and of the stdout and
-exit code of each of ``COMMANDS``.  Exits 1 on a diff or a failed tree, else 0.
+seeds 1-3; then "identical", or the unified diff of those, of one line per
+solve and of the stdout and exit code of each of ``COMMANDS``.  Exits 1 on a
+diff or a failed tree, else 0.
 """
 import argparse
+import array
 import ast
 import contextlib
 import difflib
@@ -66,24 +68,37 @@ def cli_block(main, command: str) -> str:
     return f"$ shamanskii {command}\n{out.getvalue()}exit {code}\n"
 
 
+def solve_text(solves) -> str:
+    """The count and sha256 of ``solves``, (label, problem, config, trace)
+    tuples, then one line for each: its label, problem and m, its status and
+    counters, and the first 12 hex digits of the sha256 of its record, which
+    holds those, its cause's type and message, ``x`` and the residual norms."""
+    digest, lines = hashlib.sha256(), []
+    for label, problem, config, trace in solves:
+        cause = None if trace.cause is None else (type(trace.cause).__name__, str(trace.cause))
+        record = (repr((trace.status.value, trace.it_inv, trace.it_tot, cause)).encode()
+                  + trace.x.tobytes() + array.array("d", trace.residual_norms).tobytes())
+        digest.update(record)
+        lines.append(f"{label} problem={problem.name} m={config.m}: {trace.status.value} "
+                     f"it_inv={trace.it_inv} it_tot={trace.it_tot} "
+                     f"{hashlib.sha256(record).hexdigest()[:12]}\n")
+    return f"solves: {len(lines)} sha256: {digest.hexdigest()}\n" + "".join(lines)
+
+
 def outputs() -> str:
-    """The solve digest, then the CLI blocks, of the package on the path."""
-    import numpy as np
+    """The solve text, then the CLI blocks, of the package on the path."""
     import workloads
     from shamanskii import solve
     from shamanskii.cli import main
 
-    digest, jobs = hashlib.sha256(), []
+    jobs = []
     for seed in (1, 2, 3):
         cyclic = workloads.Cyclic(seed)
-        jobs += workloads.Starts(seed).jobs + [(cyclic.problem, c) for c in cyclic.configs]
-    for problem, config in jobs:
-        trace = solve(problem, config)
-        cause = None if trace.cause is None else (type(trace.cause).__name__, str(trace.cause))
-        digest.update(repr((trace.status.value, trace.it_inv, trace.it_tot, cause)).encode())
-        digest.update(trace.x.tobytes() + np.array(trace.residual_norms).tobytes())
-    blocks = "".join(cli_block(main, command) for command in COMMANDS)
-    return f"solves: {len(jobs)} sha256: {digest.hexdigest()}\n{blocks}"
+        for workload, pairs in (("starts", workloads.Starts(seed).jobs),
+                                ("cyclic", [(cyclic.problem, c) for c in cyclic.configs])):
+            jobs += [(f"{workload} seed={seed} job={i}", *pair) for i, pair in enumerate(pairs)]
+    solves = ((label, problem, config, solve(problem, config)) for label, problem, config in jobs)
+    return solve_text(solves) + "".join(cli_block(main, command) for command in COMMANDS)
 
 
 def report(parent: str, change: str) -> str:
