@@ -75,13 +75,22 @@ class SingularMatrix(ArithmeticError):
 
 def _real(value, name: str) -> np.ndarray:
     """``value`` as a float64 array, not copied if it is one already: the one
-    rule for a real array input.  A complex dtype, whose imaginary part the
-    cast would drop with only a warning, raises ``TypeError``; a value numpy
-    cannot read as float64, such as a string, raises numpy's ``ValueError``."""
-    out = np.asarray(value)
-    if out.dtype.kind == "c":
-        raise TypeError(f"{name} has complex dtype {out.dtype}, expected real values")
-    return np.asarray(out, dtype=np.float64)
+    rule, and the one conversion, for a real array input.  A complex dtype,
+    whose imaginary part the cast would drop with only a warning, raises
+    ``TypeError``.  A value numpy cannot read as float64, such as a ragged
+    list, a string or an int beyond float64's range, raises what numpy raised
+    (``ValueError``, ``TypeError`` or ``OverflowError``), with its message
+    led by ``{name} cannot be read as float64: ``."""
+    try:
+        out = np.asarray(value)
+        if out.dtype.kind != "c":
+            return np.asarray(out, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        # the same exception, so that a subclass raised by the value's own
+        # conversion code, such as a problem's DomainViolation, stays what it is
+        exc.args = (f"{name} cannot be read as float64: {exc}",)
+        raise
+    raise TypeError(f"{name} has complex dtype {out.dtype}, expected real values")
 
 
 def norm2(v) -> float:

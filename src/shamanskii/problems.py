@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import DimensionMismatch, _real
 
 # numpy's native float64 dtype is one shared instance, so _checked's per-step
-# test is an identity test, and its conversion is spared converting the type.
+# test is an identity test.
 _F64 = np.dtype(np.float64)
 
 __all__ = [
@@ -123,15 +123,16 @@ def _check_step(h) -> None:
 
 
 def _checked(problem: Problem, name: str, value, shape: tuple) -> np.ndarray:
-    # Not a copy: residual and jacobian are pure, so they do not write to x.
-    out = np.asarray(value)
-    if out.dtype is not _F64:
-        out = _real(out, f"problem {problem.name!r}: {name}")
-    if out.shape != shape:
+    # Not a copy: residual and jacobian are pure, so they do not write to x.  A
+    # float64 ndarray comes back as the object it is, which the solver's
+    # reference count of a Jacobian relies on; _real reads anything else.
+    if type(value) is not np.ndarray or value.dtype is not _F64:
+        value = _real(value, f"problem {problem.name!r}: {name}")
+    if value.shape != shape:
         raise DimensionMismatch(
-            f"problem {problem.name!r}: {name} has shape {out.shape}, expected {shape}"
+            f"problem {problem.name!r}: {name} has shape {value.shape}, expected {shape}"
         )
-    return out
+    return value
 
 
 # --- the benchmark systems --------------------------------------------------

@@ -247,8 +247,12 @@ def solve(problem: Problem, config: SolverConfig | None = None) -> SolveTrace:
     never thrown away.  A start point of the wrong length, or a residual or
     Jacobian that returns the wrong shape, is a programmer error and raises
     :class:`DimensionMismatch` naming the problem, ``x`` or the callable, and
-    both shapes.  The start point's shape is checked once, before the first
-    evaluation; every residual and Jacobian return is checked on every call.
+    both shapes.  A start point, residual or Jacobian that numpy cannot read
+    as float64, such as a ragged list or a string array, raises as a wrong
+    shape does, with numpy's exception type and a message naming the problem
+    and ``x`` or the callable.  The start point is checked once, before the
+    first evaluation; every residual and Jacobian return is checked on every
+    call.
 
     The Jacobians ``problem.jacobian`` returns may be factored in place; see
     :class:`~shamanskii.problems.Problem` for when.

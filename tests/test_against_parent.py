@@ -117,3 +117,20 @@ def test_a_diff_names_only_the_solve_that_differs():
                      if line[:1] in "-+"]
     assert [line[:8] for line in changed_lines] == ["-solves:", "+solves:", "-starts ", "+starts "]
     assert all("job=12 " in line for line in changed_lines[2:])
+
+
+def test_jobs_are_each_workloads_distinct_solves(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parents[1] / "bench"))
+    jobs = against_parent.jobs()
+    by_workload = {}
+    for label, problem, config in jobs:
+        by_workload.setdefault(label.split()[0], []).append((problem, config))
+    assert {name: len(pairs) for name, pairs in by_workload.items()} == {
+        "starts": 4800, "cyclic": 3, "grid": 20}
+    grid = by_workload["grid"]
+    assert [(p.name, c) for p, c in grid] == [
+        (name, SolverConfig(m=m)) for name in "abcde" for m in (1, 2, 3, 4)]
+    assert all(p is registry_get(p.name) for p, _ in grid)
+    assert {p.dim for p, _ in grid if p.name == "d"} == {31}
+    keys = {(p.name, p.start.tobytes(), c) for _, p, c in jobs}
+    assert len(keys) == len(jobs)

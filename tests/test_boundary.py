@@ -12,16 +12,18 @@ import warnings
 import numpy as np
 import pytest
 
+import shamanskii.problems as problems_mod
 import shamanskii.solver as solver_mod
 from shamanskii.linalg import DimensionMismatch, LUFactors, lu_factor, lu_solve, norm2
 from shamanskii.problems import (
+    DomainViolation,
     Problem,
     evaluate_f,
     evaluate_jacobian,
     fd_jacobian,
     registry_get,
 )
-from shamanskii.solver import SolverConfig, outer_step, solve
+from shamanskii.solver import SolverConfig, SolveStatus, outer_step, solve
 
 WRONG_START = r"^problem 'plane': x has shape \(3,\), expected \(2,\)$"
 
@@ -204,3 +206,117 @@ class TestComplexValuesRejected:
             out = evaluate_f(p, np.zeros(2))
         assert out.dtype == np.float64
         assert out.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
+
+
+# the refusals numpy makes while reading a value as float64: each raises the
+# type numpy raised, with the argument's name, then numpy's own message
+_RAGGED, _STRINGS, _STRINGS_2X2 = [[1.0], [2.0, 3.0]], np.array(["a", "b"]), [["a", "b"]] * 2
+UNREADABLE_INPUTS = {
+    "solve_residual_ragged": (
+        lambda: solve(dataclasses.replace(plane(), residual=lambda x: _RAGGED)),
+        _RAGGED, ValueError, "problem 'plane': residual(x)",
+    ),
+    "solve_residual_strings": (
+        lambda: solve(dataclasses.replace(plane(), residual=lambda x: _STRINGS)),
+        _STRINGS, ValueError, "problem 'plane': residual(x)",
+    ),
+    "solve_start_strings": (
+        lambda: solve(dataclasses.replace(plane(), start=_STRINGS)),
+        _STRINGS, ValueError, "problem 'plane': x",
+    ),
+    "solve_jacobian_strings": (
+        lambda: solve(dataclasses.replace(plane(), jacobian=lambda x: _STRINGS_2X2)),
+        _STRINGS_2X2, ValueError, "problem 'plane': jacobian(x)",
+    ),
+    "norm2_ragged": (lambda: norm2(_RAGGED), _RAGGED, ValueError, "v"),
+    "lu_factor_strings": (lambda: lu_factor(_STRINGS_2X2), _STRINGS_2X2, ValueError, "matrix"),
+    "lu_solve_b_strings": (
+        lambda: lu_solve(lu_factor(np.eye(2)), _STRINGS), _STRINGS, ValueError, "right-hand side",
+    ),
+    "lu_solve_lu_strings": (
+        lambda: lu_solve(LUFactors(np.array(_STRINGS_2X2), np.arange(2, dtype=np.int32), 2),
+                         np.ones(2)),
+        _STRINGS_2X2, ValueError, "factors.lu",
+    ),
+    "norm2_dict": (lambda: norm2([{}]), [{}], TypeError, "v"),
+    "norm2_big_int": (lambda: norm2([10**400]), [10**400], OverflowError, "v"),
+    "lu_factor_big_int": (
+        lambda: lu_factor([[10**400, 1], [1, 1]]), [[10**400, 1], [1, 1]], OverflowError, "matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_a_value_numpy_cannot_read_as_float64_is_refused_by_name(case):
+    call, value, kind, name = UNREADABLE_INPUTS[case]
+    with pytest.raises(kind) as numpy_error:
+        np.asarray(np.asarray(value), dtype=np.float64)
+    with pytest.raises(kind) as error:
+        call()
+    assert type(error.value) is kind
+    assert str(error.value) == f"{name} cannot be read as float64: {numpy_error.value}"
+
+
+class Withheld:
+    """A value whose conversion raises the problem's DomainViolation."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise DomainViolation("plane", 0, "is withheld")
+
+
+class Unfloatable:
+    """An entry whose float() raises a ValueError subclass with its own constructor."""
+
+    def __float__(self):
+        raise DomainViolation("plane", 1, "has no float")
+
+
+def test_a_subclass_raised_by_the_value_itself_keeps_its_type():
+    # the solver records the problem's DomainViolation as a status, as when
+    # the residual itself raises it
+    trace = solve(dataclasses.replace(plane(), residual=lambda x: Withheld()))
+    assert trace.status is SolveStatus.DOMAIN_VIOLATION
+    assert (trace.cause.problem_name, trace.cause.index) == ("plane", 0)
+    assert str(trace.cause) == ("problem 'plane': residual(x) cannot be read as float64: "
+                                "problem 'plane': x[0] is withheld")
+    for call, name in ((lambda: norm2([Unfloatable()]), "v"),
+                       (lambda: lu_factor([[Unfloatable()]]), "matrix")):
+        with pytest.raises(DomainViolation,
+                           match=rf"^{name} cannot be read as float64: problem 'plane': x\[1\]"):
+            call()
+
+
+class Tagged(np.ndarray):
+    """An ndarray subclass, which _checked hands on as a base-class array."""
+
+
+RETURN_FORMS = {
+    "list": lambda a: a.tolist(),
+    "int64": lambda a: a.astype(np.int64),
+    "float32": lambda a: a.astype(np.float32),
+    "big_endian": lambda a: a.astype(">f8"),
+    "subclass": lambda a: a.view(Tagged),
+}
+
+
+@pytest.mark.parametrize("at", ["f", "jacobian"])
+class TestCheckedReturns:
+    """What _f_at and _jacobian_at hand the solver for each kind of return."""
+
+    VALUES = {"f": np.array([1.0, -2.0]), "jacobian": np.array([[2.0, 1.0], [-1.0, 3.0]])}
+
+    def evaluate(self, at, returned):
+        p = dataclasses.replace(plane(), residual=lambda x: returned, jacobian=lambda x: returned)
+        evaluate = problems_mod._f_at if at == "f" else problems_mod._jacobian_at
+        return evaluate(p, np.zeros(2))
+
+    def test_a_float64_ndarray_comes_back_as_the_same_object(self, at):
+        returned = self.VALUES[at].copy()
+        assert self.evaluate(at, returned) is returned
+
+    @pytest.mark.parametrize("form", sorted(RETURN_FORMS))
+    def test_any_other_form_comes_back_as_a_float64_ndarray(self, at, form):
+        returned = RETURN_FORMS[form](self.VALUES[at])
+        out = self.evaluate(at, returned)
+        assert type(out) is np.ndarray and out.dtype is np.dtype(np.float64)
+        assert out.tobytes() == self.VALUES[at].tobytes()

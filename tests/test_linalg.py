@@ -162,6 +162,18 @@ class TestLuFactor:
         with pytest.raises(SingularMatrix, match=message):
             lu_factor(a)
 
+    @pytest.mark.parametrize("n", [4, 31])
+    def test_pivot_on_threshold_before_a_zero_pivot_is_not_named(self, n):
+        # ||A||_inf = 2, from row 0 alone; its pivot sits exactly on the
+        # threshold and passes, and column 1 holds only zeros below it
+        threshold = n * EPS * 2.0
+        a = np.eye(n)
+        a[0, :2] = threshold, 2.0 - threshold
+        a[1, 1] = 0.0
+        message = fr"^pivot 0\.000e\+00 below threshold {threshold:.3e} at column 1$"
+        with pytest.raises(SingularMatrix, match=message):
+            lu_factor(a)
+
 
 class TestLuSolve:
     def test_identity(self):

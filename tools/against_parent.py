@@ -3,10 +3,10 @@
 ``python tools/against_parent.py [REF]`` unpacks REF's src/ with ``git archive``
 and prints, for that tree (parent) beside the working tree of this script's
 checkout (change): each module's lines and code lines; each tree's count and
-sha256 of the solves of the benchmark's ``starts`` and ``cyclic`` workloads at
-seeds 1-3; then "identical", or the unified diff of those, of one line per
-solve and of the stdout and exit code of each of ``COMMANDS``.  Exits 1 on a
-diff or a failed tree, else 0.
+sha256 of the distinct solves of the benchmark's workloads (``jobs``); then
+"identical", or the unified diff of those, of one line per solve and of the
+stdout and exit code of each of ``COMMANDS``.  Exits 1 on a diff or a failed
+tree, else 0.
 """
 import argparse
 import array
@@ -85,19 +85,32 @@ def solve_text(solves) -> str:
     return f"solves: {len(lines)} sha256: {digest.hexdigest()}\n" + "".join(lines)
 
 
+def jobs() -> list:
+    """(label, problem, config) of each distinct solve of the benchmark's
+    workloads: ``starts`` at seeds 1-3, then ``cyclic`` and ``grid`` once each,
+    as their inputs do not depend on the seed."""
+    import workloads
+    from shamanskii import SolverConfig, registry_get
+
+    found = []
+    for seed in (1, 2, 3):
+        found += [(f"starts seed={seed} job={i}", *pair)
+                  for i, pair in enumerate(workloads.Starts(seed).jobs)]
+    cyclic = workloads.Cyclic(1)
+    grid = [(registry_get(name), SolverConfig(m=m))
+            for name in workloads.GRID_PROBLEMS for m in workloads.GRID_MS]
+    for workload, pairs in (("cyclic", [(cyclic.problem, c) for c in cyclic.configs]),
+                            ("grid", grid)):
+        found += [(f"{workload} job={i}", *pair) for i, pair in enumerate(pairs)]
+    return found
+
+
 def outputs() -> str:
     """The solve text, then the CLI blocks, of the package on the path."""
-    import workloads
     from shamanskii import solve
     from shamanskii.cli import main
 
-    jobs = []
-    for seed in (1, 2, 3):
-        cyclic = workloads.Cyclic(seed)
-        for workload, pairs in (("starts", workloads.Starts(seed).jobs),
-                                ("cyclic", [(cyclic.problem, c) for c in cyclic.configs])):
-            jobs += [(f"{workload} seed={seed} job={i}", *pair) for i, pair in enumerate(pairs)]
-    solves = ((label, problem, config, solve(problem, config)) for label, problem, config in jobs)
+    solves = ((label, problem, config, solve(problem, config)) for label, problem, config in jobs())
     return solve_text(solves) + "".join(cli_block(main, command) for command in COMMANDS)
 
 
