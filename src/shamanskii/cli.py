@@ -11,7 +11,7 @@ import sys
 
 from .analysis import SuiteReport, estimate_coc, run_suite
 from .problems import check_jacobian, registry_get, registry_names
-from .solver import TOL_DEFAULT, SolverConfig, SolveStatus, solve
+from .solver import SolverConfig, SolveStatus, solve
 
 __all__ = ["main", "render_table", "render_csv", "render_json"]
 
@@ -109,22 +109,30 @@ def _comma_list(what: str, read):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=TOL_DEFAULT,
+    parser.add_argument("--tol", default=SolverConfig.tol,
+                        type=_argtype(lambda s: SolverConfig(tol=float(s)).tol),
                         help="residual tolerance (default: 10 times machine epsilon)")
-    parser.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,
+    parser.add_argument("--max-outer", default=SolverConfig.max_outer,
+                        type=_argtype(lambda s: SolverConfig(max_outer=int(s)).max_outer),
                         help="cap on outer iterations (default: %(default)s)")
     parser.add_argument("--inner-early-exit", action="store_true",
                         help="also test convergence after each inner update")
 
 
+def _config(args, **fields) -> SolverConfig:
+    """A ``SolverConfig`` of the solver flags, which their types checked, and ``fields``."""
+    return SolverConfig(tol=args.tol, max_outer=args.max_outer,
+                        inner_early_exit=args.inner_early_exit, **fields)
+
+
 def cmd_run(args) -> int:
-    trace = solve(args.problem, args.config)
+    trace = solve(args.problem, _config(args, m=args.m))
     if args.verbose:
         for k, res in enumerate(trace.residual_norms):
             print(f"outer {k}: residual={res:.6e}")
     rho = estimate_coc(trace).rho
     print(
-        f"problem={args.problem.name} m={args.config.m} status={trace.status.value} "
+        f"problem={args.problem.name} m={args.m} status={trace.status.value} "
         f"it_inv={trace.it_inv} it_tot={trace.it_tot} "
         f"final_residual={trace.final_residual:.6e} rho={_fmt_rho(rho)}"
     )
@@ -132,7 +140,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    report = run_suite(args.problems, args.ms, args.config)
+    report = run_suite(args.problems, args.ms, _config(args))
     sys.stdout.write(_RENDERERS[args.format](report))
     return EXIT_OK if report.all_converged else EXIT_FAILURE
 
@@ -179,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve one problem")
     run.add_argument("--problem", type=_argtype(registry_get), required=True,
                      help="problem name (see list-problems)")
-    run.add_argument("--m", type=int, default=SolverConfig.m,
+    run.add_argument("--m", default=SolverConfig.m,
+                     type=_argtype(lambda s: SolverConfig(m=int(s)).m),
                      help="inner updates per factorization (default: %(default)s)")
     _add_solver_flags(run)
     run.add_argument("--verbose", "-v", action="store_true",
@@ -207,19 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if "tol" in args:
-            try:
-                # run and suite carry the solver flags; suite sets m per grid cell
-                args.config = SolverConfig(m=getattr(args, "m", SolverConfig.m), tol=args.tol,
-                                           max_outer=args.max_outer,
-                                           inner_early_exit=args.inner_early_exit)
-            except ValueError as exc:
-                parser.error(str(exc))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     return args.func(args)
-

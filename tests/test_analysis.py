@@ -82,6 +82,25 @@ class TestEstimateCoc:
         assert report.rho is None
         assert report.reason == "difference norms out of floating-point range"
 
+    @pytest.mark.parametrize(
+        "points,diffs",
+        [
+            # the first ratio is 1e-160; the second, 1e153 / 1e-160, overflows
+            ([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-160), (1.0, 1e153)], (1.0, 1e-160, 1e153)),
+            # the last norm overflows, and so does the second ratio
+            ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1e200)], (1.0, 1.0, math.inf)),
+        ],
+        ids=["overflowed_second_ratio", "overflowed_last_norm"],
+    )
+    def test_na_when_only_the_second_ratio_leaves_the_range(self, points, diffs):
+        trace = SolveTrace([np.array(x) for x in points], [1.0, 1e-2, 1e-6, 0.0], 3, 3,
+                           SolveStatus.CONVERGED)
+        report = estimate_coc(trace)
+        # 1e-160 squared is subnormal, so its norm keeps about five digits
+        assert report.diffs == pytest.approx(diffs, rel=1e-4)
+        assert report.rho is None
+        assert report.reason == "difference norms out of floating-point range"
+
     def test_na_on_converged_run_with_overflowed_norms(self):
         # iterates 4, 2, -1e170, 0, 1: the last four differ by 1e170, 1e170
         # and 1, whose norms read (inf, inf, 1.0)

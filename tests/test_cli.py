@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import shamanskii.cli as cli_mod
 from shamanskii.analysis import SuiteCell, SuiteReport
 from shamanskii.cli import main, render_json, render_table
-from shamanskii.problems import registry_get
-from shamanskii.solver import SolveStatus
+from shamanskii.problems import JacobianCheck, Problem, registry_get
+from shamanskii.solver import SolverConfig, SolveStatus
 
 CELL_RE = re.compile(r"^(\d+) \((\d+)\) (\S+)$")
 
@@ -335,6 +335,14 @@ class TestCheckJacobians:
         assert "FAIL" in out
         assert "(0, 1)" in out
 
+    def test_error_equal_to_the_limit_passes(self, capsys, monkeypatch):
+        at_limit = JacobianCheck("b", cli_mod.JACOBIAN_RTOL, (0, 0), 10, 0)
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: ["b"])
+        monkeypatch.setattr(cli_mod, "check_jacobian", lambda problem: at_limit)
+        code, out, _ = run_cli(capsys, "check-jacobians")
+        assert code == 0
+        assert out.startswith("problem b: ok, ")
+
 
 class TestListProblems:
     def test_lists_all(self, capsys):
@@ -343,6 +351,21 @@ class TestListProblems:
         for name, dim in [("a", 2), ("b", 2), ("c", 3), ("d", 31), ("e", 2)]:
             assert re.search(rf"^{name}\s+dim={dim}\b", out, re.MULTILINE)
         assert "[-2] * 31" in out
+
+    def test_start_is_abbreviated_only_when_long_and_uniform(self, capsys, monkeypatch):
+        """More than four equal entries print as ``[v] * n``; any other start
+        prints every entry."""
+        starts = {"u2": [1.0] * 2, "u4": [1.0] * 4, "u5": [1.0] * 5,
+                  "r5": [0.0, 1.0, 2.0, 3.0, 4.0]}
+        problems = {name: Problem(name, len(start), lambda x: x, lambda x: np.eye(x.size),
+                                  np.array(start))
+                    for name, start in starts.items()}
+        monkeypatch.setattr(cli_mod, "registry_names", lambda: list(problems))
+        monkeypatch.setattr(cli_mod, "registry_get", problems.__getitem__)
+        code, out, _ = run_cli(capsys, "list-problems")
+        assert code == 0
+        assert re.findall(r"start=(.*?)  F\(x\)", out) == [
+            "[1, 1]", "[1, 1, 1, 1]", "[1] * 5", "[0, 1, 2, 3, 4]"]
 
 
 class TestUsage:
@@ -391,6 +414,33 @@ class TestUsageErrors:
     def test_m_takes_solver_configs_rule(self, capsys, argv):
         _, _, err = run_cli(capsys, *argv)
         assert "m must be a positive integer" in err
+
+    # argv, the flag it refuses, and the SolverConfig fields that raise its message
+    SOLVER_FLAG_REFUSALS = [
+        (("run", "--problem", "b", "--m", "0"), "m", {"m": 0}),
+        (("run", "--problem", "e", "--tol", "nan"), "tol", {"tol": math.nan}),
+        (("suite", "--max-outer", "0"), "max-outer", {"max_outer": 0}),
+        (("suite", "--tol", "0"), "tol", {"tol": 0.0}),
+        (("run", "--problem", "b", "--max-outer", "-1"), "max-outer", {"max_outer": -1}),
+        (("run", "--problem", "b", "--m", "x"), "m", None),
+        (("suite", "--tol", "x"), "tol", None),
+    ]
+
+    @pytest.mark.parametrize("argv,flag,fields", SOLVER_FLAG_REFUSALS,
+                             ids=[" ".join(case[0]) for case in SOLVER_FLAG_REFUSALS])
+    def test_solver_flag_is_refused_by_its_subcommand(self, capsys, argv, flag, fields):
+        """Each solver flag's refusal names the flag under its subcommand's
+        usage line; an out-of-range value gets SolverConfig's own message."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage: shamanskii {argv[0]} ")
+        prefix = f"error: argument --{flag}: "
+        assert prefix in err
+        if fields is not None:
+            with pytest.raises(ValueError) as refused:
+                SolverConfig(**fields)
+            assert err.endswith(f"{prefix}{refused.value}\n")
 
 
 class TestModuleEntryPoint:

@@ -556,6 +556,21 @@ class TestOuterStep:
         assert res == trace.residual_norms[1]
         assert steps == m
 
+    def test_raises_a_domain_exit_inside_its_sweep(self):
+        """F leaves its domain on its third call, the residual after the
+        second of three chord updates: outer_step raises that exit, where
+        solve records it after one update."""
+        def problem():
+            residual = fault_at_call(lambda x: x - np.array([1.0, 2.0]), 2, leave_domain)
+            return Problem("p", 2, residual, lambda x: 2 * np.eye(2), np.zeros(2))
+
+        p = problem()
+        with pytest.raises(DomainViolation, match="outside the injected domain"):
+            outer_step(p, p.start, 3)
+        trace = solve(problem(), SolverConfig(m=3))
+        assert trace.status is SolveStatus.DOMAIN_VIOLATION
+        assert (trace.it_inv, trace.it_tot) == (1, 1)
+
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             outer_step(registry_get("b"), [1.0, 1.0], m=0)
@@ -1282,6 +1297,16 @@ class TestSolverConfig:
 
     def test_default_tolerance(self):
         assert TOL_DEFAULT == pytest.approx(2.220446049250313e-15)
+
+    def test_default_tolerance_is_exactly_ten_epsilons(self):
+        # exactly: pytest.approx's absolute margin of 1e-12 would admit any tolerance near eps
+        assert SolverConfig().tol == 10 * np.finfo(np.float64).eps == 2.220446049250313e-15
+
+    def test_default_outer_cap(self):
+        # a constant F never converges, so the run ends at the default cap
+        trace = solve(identity_problem(lambda x: np.ones(2), [0.0, 0.0]), SolverConfig())
+        assert trace.status is SolveStatus.MAX_ITERATIONS
+        assert (trace.it_inv, trace.it_tot) == (100, 100)
 
 
 class TestWrongShape:

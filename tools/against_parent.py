@@ -23,12 +23,14 @@ import tempfile
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# the suite's formats, each problem plain and verbose, two more commands and six usage errors
+# the suite's formats, each problem plain and verbose, two more commands and eight usage
+# errors, among them a refusal of each solver flag
 COMMANDS = (
     [f"suite --format {fmt}" for fmt in ("table", "csv", "json")]
     + [f"run --problem {p}{options}" for p in "abcde" for options in ("", " --m 3 -v")]
     + ["check-jacobians", "list-problems", "run --problem nope", "suite --ms 0", "suite --ms x",
-       "suite --problems ,", "run --problem e --tol nan", ""])
+       "suite --problems ,", "run --problem b --m 0", "run --problem e --tol nan",
+       "suite --max-outer 0", ""])
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
